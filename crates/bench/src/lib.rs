@@ -21,6 +21,7 @@
 //! output is bit-identical for any thread count.
 
 pub mod args;
+pub mod catalogue;
 pub mod exchange;
 pub mod experiments;
 pub mod io;
@@ -34,6 +35,7 @@ pub mod sentinel;
 pub mod table;
 
 pub use args::{ArgError, BenchArgs};
+pub use catalogue::{figure_scenarios, FigureScenarios, Representative, TRACE_BYTES};
 pub use exchange::{
     exchange_json, exchange_nodes, exchange_patterns, exchange_point, exchange_point_with,
     AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
@@ -47,22 +49,17 @@ pub use micro::{
     corner_groups, crossover, fig5_point, fig5_sweep, fig6_point, fig6_sweep, fig7_point,
     fig7_series_labels, fig7_sweep, SweepPoint,
 };
-pub use obs::{
-    emit_artifacts, fig5_trace, fig6_trace, io_trace, pair_trace, resilience_trace, trace_for,
-    write_artifact, TRACE_BYTES,
-};
+pub use obs::{emit_artifacts, trace_for, trace_scenario, write_artifact};
 pub use profile::{
-    binding_trace, coupling_profile, coupling_profile_with, exchange_profile,
-    exchange_profile_with, fig6_profile, io_profile, io_profile_with, pair_profile,
-    pair_profile_with, profile_for, profile_for_with_trace, render_report, resilience_profile,
-    resilience_profile_with, resource_label, run_profile, run_profiled,
+    binding_trace, profile_for, profile_for_with_trace, profile_scenario, render_report,
+    resource_label, run_profile, run_profiled,
 };
 pub use resilience::{
     default_scenarios, fault_plan_for, resilience_point, Resilience, ResiliencePoint, Scenario,
 };
 pub use runner::{CacheStats, Experiment, ExperimentRun, ExperimentSession, PlanCache, Row};
 pub use scale::{scale_json, scale_point, scale_point_with, scale_sizes, ScalePoint, SolverSide};
-pub use sentinel::{history_line, manifest_for, run_ledger, LedgerOptions};
+pub use sentinel::{history_line, ledger_scenario, manifest_for, run_ledger, LedgerOptions};
 pub use table::{fmt_bytes, fmt_gbs, paper_size_sweep, Table};
 
 #[cfg(test)]

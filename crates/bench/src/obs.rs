@@ -7,32 +7,22 @@
 //!   CSV (`MetricsSnapshot::to_csv`), byte-identical for any thread
 //!   count because every golden metric is a simulated-time or integer
 //!   quantity;
-//! * `--trace-out PATH` — a Chrome-trace JSON of one *representative
-//!   run* of the figure ([`trace_for`]), loadable in Perfetto. Spans
-//!   are transfers on their first-hop link-axis track, counter series
-//!   are waterfill bytes-in-flight per axis, instants are stall /
-//!   resume / fault edges.
+//! * `--trace-out PATH` — a Chrome-trace JSON of the figure's
+//!   representative scenario ([`trace_for`], built by
+//!   [`crate::catalogue`]), loadable in Perfetto. Spans are transfers on
+//!   their first-hop link-axis track, counter series are waterfill
+//!   bytes-in-flight per axis, instants are stall / resume / fault edges.
 //!
 //! Everything here is keyed on simulated time, so both artifacts are
 //! reproducible byte-for-byte regardless of worker threads or host.
 
-use crate::resilience::{fault_plan_for, Scenario};
+use crate::catalogue::{figure_scenarios, Representative};
 use crate::runner::PlanCache;
 use bgq_comm::{Machine, Program};
-use bgq_netsim::{FaultPlan, ResourceId, SimConfig, SimObserver, SimReport};
+use bgq_netsim::{FaultPlan, ResourceId, SimConfig, SimObserver, SimOptions, SimReport};
 use bgq_obs::Recorder;
-use bgq_torus::{shape_for_cores, standard_shape, NodeId, RankMap, Zone, CORES_PER_NODE};
-use sdm_core::{
-    plan_direct, plan_group_direct, plan_group_via, plan_via_proxies, IoMoveOptions,
-    MultipathOptions, ProxySearchConfig,
-};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Message size for representative traces: large enough that multipath
-/// beats direct on the fig5 pair, small enough that the trace stays a
-/// few kilobytes.
-pub const TRACE_BYTES: u64 = 32 << 20;
 
 /// The Perfetto track a simulated resource belongs to: torus links are
 /// grouped per direction (`axis +B`, ...), everything else (eleventh
@@ -122,148 +112,35 @@ pub fn record_run(
 /// to an unobserved run).
 pub fn run_traced(rec: &Recorder, prog: &Program, faults: &FaultPlan) -> SimReport {
     let mut obs = SimObserver::new();
-    let report = prog.run_observed(faults, &mut obs);
+    let report = prog.simulate(SimOptions::new().faults(faults).observer(&mut obs));
     record_run(rec, prog.machine(), prog, &report, &obs);
     report
 }
 
-/// Direct-vs-multipath pair trace on an `nodes`-node partition: the
-/// corner pair, one direct timeline and one 4-proxy multipath timeline
-/// merged under `direct/` and `multipath/` prefixes.
-pub fn pair_trace(cache: &PlanCache, nodes: u32, bytes: u64) -> Recorder {
-    let machine = cache.machine(standard_shape(nodes).unwrap(), &SimConfig::default());
-    let (src, dst) = (NodeId(0), NodeId(machine.num_nodes() - 1));
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let proxies = cache
-        .proxies(machine.shape(), Zone::Z2, src, dst, &HashSet::new(), &cfg)
-        .proxies();
-
-    let all = Recorder::new();
-    let direct = Recorder::new();
-    let mut pd = Program::new(&machine);
-    plan_direct(&mut pd, src, dst, bytes);
-    run_traced(&direct, &pd, &FaultPlan::new());
-    all.merge_prefixed(&direct, "direct/");
-
-    let multi = Recorder::new();
-    let mut pm = Program::new(&machine);
-    plan_via_proxies(&mut pm, src, dst, bytes, &proxies, &MultipathOptions::default());
-    run_traced(&multi, &pm, &FaultPlan::new());
-    all.merge_prefixed(&multi, "multipath/");
-    all
-}
-
-/// The fig5 representative trace: the 128-node corner pair.
-pub fn fig5_trace(cache: &PlanCache, bytes: u64) -> Recorder {
-    pair_trace(cache, 128, bytes)
-}
-
-/// Group-coupling trace (fig6's first plane): 128 aligned pairs between
-/// opposed slabs of the 2048-node partition, direct vs. proxy groups.
-pub fn fig6_trace(cache: &PlanCache, bytes: u64) -> Recorder {
-    let machine = cache.machine(standard_shape(2048).unwrap(), &SimConfig::default());
-    let n = machine.shape().num_nodes();
-    let sources: Vec<NodeId> = (0..128).map(NodeId).collect();
-    let dests: Vec<NodeId> = (3 * n / 4..3 * n / 4 + 128).map(NodeId).collect();
-    let cfg = ProxySearchConfig::default();
-    let groups = cache.proxy_groups(machine.shape(), Zone::Z2, &sources, &dests, &cfg);
-
-    let all = Recorder::new();
-    let direct = Recorder::new();
-    let mut pd = Program::new(&machine);
-    plan_group_direct(&mut pd, &sources, &dests, bytes);
-    run_traced(&direct, &pd, &FaultPlan::new());
-    all.merge_prefixed(&direct, "direct/");
-
-    let multi = Recorder::new();
-    let mut pm = Program::new(&machine);
-    plan_group_via(
-        &mut pm,
-        &sources,
-        &dests,
-        bytes,
-        &groups,
-        false,
-        &MultipathOptions::default(),
-    );
-    run_traced(&multi, &pm, &FaultPlan::new());
-    all.merge_prefixed(&multi, "multipath/");
-    all
-}
-
-/// Sparse collective-write trace for the weak-scaling figures: the
-/// topology-aware aggregation plan (nodes → aggregators → bridges →
-/// IONs) at `cores`, uniform 1 MB ranks.
-pub fn io_trace(cache: &PlanCache, cores: u32) -> Recorder {
-    let shape = shape_for_cores(cores).expect("standard partition");
-    let machine = cache.machine(shape, &SimConfig::default());
-    let map = RankMap::default_map(shape, CORES_PER_NODE);
-    let rank_sizes = vec![1u64 << 20; cores as usize];
-    let data = bgq_workloads::coalesce_to_nodes(&map, &rank_sizes);
-    let total: u64 = data.iter().map(|&(_, b)| b).sum();
-    let chunk = crate::io::sim_chunk_bytes(total, shape.num_nodes());
-
-    let mover = cache.mover(&machine);
-    let mut prog = Program::new(&machine);
-    mover.plan_sparse_write(
-        &mut prog,
-        &data,
-        &IoMoveOptions {
-            max_chunk: chunk,
-            ..Default::default()
-        },
-    );
-    let rec = Recorder::new();
-    run_traced(&rec, &prog, &FaultPlan::new());
-    rec
-}
-
-/// Fault-injection trace: the fig5 pair under the direct-route cut. The
-/// `direct/` timeline shows the stall instant and the undelivered span;
-/// the `multipath/` timeline routes over link-disjoint proxies and
-/// delivers.
-pub fn resilience_trace(cache: &PlanCache, bytes: u64) -> Recorder {
-    let machine = cache.machine(standard_shape(128).unwrap(), &SimConfig::default());
-    let (src, dst) = (NodeId(0), NodeId(127));
-    let mut pd = Program::new(&machine);
-    let hd = plan_direct(&mut pd, src, dst, bytes);
-    let t0 = hd.completed_at(&pd.run());
-    let plan = fault_plan_for(&machine, &Scenario::DirectCut, t0);
-
-    let all = Recorder::new();
-    let direct = Recorder::new();
-    run_traced(&direct, &pd, &plan);
-    all.merge_prefixed(&direct, "direct/");
-
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let proxies = cache
-        .proxies(machine.shape(), Zone::Z2, src, dst, &HashSet::new(), &cfg)
-        .proxies();
-    let multi = Recorder::new();
-    let mut pm = Program::new(&machine);
-    plan_via_proxies(&mut pm, src, dst, bytes, &proxies, &MultipathOptions::default());
-    run_traced(&multi, &pm, &plan);
-    all.merge_prefixed(&multi, "multipath/");
-    all
-}
-
-/// The representative trace for a figure by name, or `None` for figures
-/// without one (the histogram figure has no simulated execution).
-pub fn trace_for(figure: &str, cache: &PlanCache) -> Option<Recorder> {
-    match figure {
-        "fig5" => Some(fig5_trace(cache, TRACE_BYTES)),
-        "fig6" => Some(fig6_trace(cache, TRACE_BYTES)),
-        "fig7" => Some(pair_trace(cache, 512, TRACE_BYTES)),
-        "fig10" | "fig11" => Some(io_trace(cache, 2048)),
-        "resilience" => Some(resilience_trace(cache, TRACE_BYTES)),
-        _ => None,
+/// Trace a catalogue scenario: one observed run per label, merged under
+/// `label/` track prefixes (a single-run scenario records unprefixed).
+pub fn trace_scenario(scenario: &Representative, cache: &PlanCache) -> Recorder {
+    let mut runs = Vec::new();
+    scenario.for_each_run(cache, &SimConfig::default(), |name, prog, faults| {
+        let rec = Recorder::new();
+        run_traced(&rec, prog, faults);
+        runs.push((name.to_string(), rec));
+    });
+    if runs.len() == 1 {
+        return runs.pop().expect("one run").1;
     }
+    let all = Recorder::new();
+    for (name, rec) in &runs {
+        all.merge_prefixed(rec, &format!("{name}/"));
+    }
+    all
+}
+
+/// The representative trace for a figure by name (its
+/// [`figure_scenarios`] trace cell), or `None` for figures without one.
+pub fn trace_for(figure: &str, cache: &PlanCache) -> Option<Recorder> {
+    let scenario = figure_scenarios(figure)?.trace?;
+    Some(trace_scenario(&scenario, cache))
 }
 
 /// Write `contents` to `path`, creating parent directories.
@@ -331,10 +208,14 @@ pub fn emit_artifacts(args: &crate::BenchArgs, session: &crate::ExperimentSessio
 mod tests {
     use super::*;
 
+    fn fig5_pair(bytes: u64) -> Representative {
+        Representative::Pair { nodes: 128, bytes }
+    }
+
     #[test]
     fn fig5_trace_is_valid_and_shows_both_strategies() {
         let cache = PlanCache::new();
-        let rec = fig5_trace(&cache, 4 << 20);
+        let rec = trace_scenario(&fig5_pair(4 << 20), &cache);
         let json = rec.to_chrome_json();
         bgq_obs::json::validate(&json).expect("chrome trace must be valid JSON");
         assert!(json.contains("direct/axis"), "direct timeline present");
@@ -345,15 +226,16 @@ mod tests {
     #[test]
     fn trace_export_is_identical_across_recordings() {
         let cache = PlanCache::new();
-        let a = fig5_trace(&cache, 1 << 20).to_chrome_json();
-        let b = fig5_trace(&cache, 1 << 20).to_chrome_json();
+        let a = trace_scenario(&fig5_pair(1 << 20), &cache).to_chrome_json();
+        let b = trace_scenario(&fig5_pair(1 << 20), &cache).to_chrome_json();
         assert_eq!(a, b, "same inputs must serialize to the same bytes");
     }
 
     #[test]
     fn resilience_trace_is_loud_about_the_stall() {
         let cache = PlanCache::new();
-        let json = resilience_trace(&cache, 4 << 20).to_chrome_json();
+        let cut = Representative::DirectCut { bytes: 4 << 20 };
+        let json = trace_scenario(&cut, &cache).to_chrome_json();
         bgq_obs::json::validate(&json).unwrap();
         assert!(json.contains("stall t"), "direct stall instant recorded");
         assert!(json.contains("(undelivered)"), "cut route never delivers");

@@ -3,27 +3,23 @@
 //! This is the bridge between the engine's [`bgq_netsim::SimProfile`]
 //! (resource indices, raw per-epoch accrual) and the topology-agnostic
 //! [`bgq_obs::ProfileArtifact`] (link labels, critical paths, JSON/CSV
-//! artifacts). Each figure with a representative trace also has a
-//! representative *profile* ([`profile_for`]) built from the same
-//! scenario, so `--profile-out` answers "why was this run slow": which
-//! links the waterfill blamed, for how long, and which dependency chain
-//! bounded the makespan.
+//! artifacts). A profile is a consumer of the scenario catalogue
+//! ([`crate::catalogue`]): [`profile_scenario`] profiles each labeled
+//! run of a scenario, and [`profile_for`] picks the figure's scenario
+//! from the same table the traces and the run ledger read. So
+//! `--profile-out` answers "why was this run slow" — which links the
+//! waterfill blamed, for how long, and which dependency chain bounded
+//! the makespan — for exactly the runs the trace shows.
 //!
 //! Profiles inherit the artifact contract: everything is keyed on
 //! simulated time and serialized deterministically, so the JSON is
 //! byte-identical across thread counts and repeated runs.
 
-use crate::obs::TRACE_BYTES;
-use crate::resilience::{fault_plan_for, Scenario};
+use crate::catalogue::{figure_scenarios, Representative};
 use crate::runner::PlanCache;
 use bgq_comm::{Machine, Program};
-use bgq_netsim::{Binding, FaultPlan, ResourceId, SimConfig, SimOptions, SimReport};
+use bgq_netsim::{Binding, FaultPlan, ResourceId, SimConfig, SimObserver, SimOptions, SimReport};
 use bgq_obs::{ProfileArtifact, Recorder, RunProfile, TransferProfile};
-use bgq_torus::{shape_for_cores, standard_shape, NodeId, RankMap, Zone, CORES_PER_NODE};
-use sdm_core::{
-    plan_direct, plan_group_direct, plan_via_proxies, IoMoveOptions, MultipathOptions,
-    ProxySearchConfig,
-};
 use std::collections::HashSet;
 
 /// Human label for a simulated resource: torus links render as
@@ -110,236 +106,45 @@ pub fn run_profile(
     }
 }
 
-/// Direct-vs-multipath profile pair on an `nodes`-node partition: the
-/// corner pair, one `direct` run and one 4-proxy `multipath` run —
-/// the profile twin of [`crate::obs::pair_trace`].
-pub fn pair_profile(cache: &PlanCache, nodes: u32, bytes: u64) -> ProfileArtifact {
-    pair_profile_with(cache, &SimConfig::default(), nodes, bytes)
-}
-
-/// [`pair_profile`] under an explicit simulator config — the run-ledger
-/// uses this to profile the same scenario on a degraded machine.
-pub fn pair_profile_with(
+/// Profile a catalogue scenario: one profiled run per label, in the
+/// scenario's run order.
+pub fn profile_scenario(
+    scenario: &Representative,
     cache: &PlanCache,
     sim: &SimConfig,
-    nodes: u32,
-    bytes: u64,
 ) -> ProfileArtifact {
-    let machine = cache.machine(standard_shape(nodes).unwrap(), sim);
-    let (src, dst) = (NodeId(0), NodeId(machine.num_nodes() - 1));
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let proxies = cache
-        .proxies(machine.shape(), Zone::Z2, src, dst, &HashSet::new(), &cfg)
-        .proxies();
-
-    let mut pd = Program::new(&machine);
-    plan_direct(&mut pd, src, dst, bytes);
-    let rd = run_profiled(&pd, &FaultPlan::new());
-
-    let mut pm = Program::new(&machine);
-    plan_via_proxies(&mut pm, src, dst, bytes, &proxies, &MultipathOptions::default());
-    let rm = run_profiled(&pm, &FaultPlan::new());
-
-    ProfileArtifact {
-        runs: vec![
-            run_profile("direct", &machine, &pd, &rd),
-            run_profile("multipath", &machine, &pm, &rm),
-        ],
-    }
+    profile_observing(scenario, cache, sim, None)
 }
 
-/// Contended group-coupling profile: the first `pairs` nodes couple to
-/// the opposed slab (fig6's placement) under a **4:1 fan-in** — source
-/// `i` sends to slab node `i mod (pairs/4)`, so every destination's
-/// ingress links necessarily carry four flows and the dimension-ordered
-/// routes converge on shared corridor links.
-///
-/// This is the profiler's representative congestion scenario. The
-/// figure harnesses use the aligned one-to-one pairing, which is
-/// collision-free by construction: its direct baseline is bound by the
-/// per-flow protocol cap, and the profile of such a run blames `cap`,
-/// not links. The fan-in is the same coupling with a conflicting sparse
-/// pattern (the paper's aggregation shape), which is where per-link
-/// blame has something to say: the `direct` run names the converging
-/// corridor links, and the per-pair 4-proxy `multipath` run shows the
-/// same seconds redistributed across the proxy-path links.
-pub fn coupling_profile(
-    cache: &PlanCache,
-    nodes: u32,
-    pairs: u32,
-    bytes: u64,
-) -> ProfileArtifact {
-    coupling_profile_with(cache, &SimConfig::default(), nodes, pairs, bytes)
-}
-
-/// [`coupling_profile`] under an explicit simulator config.
-pub fn coupling_profile_with(
+/// [`profile_scenario`], with `watch = (label, observer)` attaching the
+/// observer to the run labeled `label`. Observation is passive, so the
+/// artifact is unchanged.
+pub(crate) fn profile_observing(
+    scenario: &Representative,
     cache: &PlanCache,
     sim: &SimConfig,
-    nodes: u32,
-    pairs: u32,
-    bytes: u64,
+    mut watch: Option<(&str, &mut SimObserver)>,
 ) -> ProfileArtifact {
-    let machine = cache.machine(standard_shape(nodes).unwrap(), sim);
-    let n = machine.shape().num_nodes();
-    assert!(pairs >= 4 && pairs <= n / 4, "need 4..=n/4 coupling pairs");
-    let sources: Vec<NodeId> = (0..pairs).map(NodeId).collect();
-    let base = 3 * n / 4;
-    let dests: Vec<NodeId> = (0..pairs).map(|i| NodeId(base + i % (pairs / 4))).collect();
-
-    let mut pd = Program::new(&machine);
-    plan_group_direct(&mut pd, &sources, &dests, bytes);
-    let rd = run_profiled(&pd, &FaultPlan::new());
-
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let mut pm = Program::new(&machine);
-    for (&s, &d) in sources.iter().zip(&dests) {
-        let proxies = cache
-            .proxies(machine.shape(), Zone::Z2, s, d, &HashSet::new(), &cfg)
-            .proxies();
-        if proxies.is_empty() {
-            plan_direct(&mut pm, s, d, bytes);
-        } else {
-            plan_via_proxies(&mut pm, s, d, bytes, &proxies, &MultipathOptions::default());
+    let mut runs = Vec::new();
+    scenario.for_each_run(cache, sim, |name, prog, faults| {
+        let mut opts = SimOptions::new().faults(faults).profiled();
+        if let Some((label, obs)) = watch.as_mut() {
+            if *label == name {
+                opts = opts.observer(obs);
+            }
         }
-    }
-    let rm = run_profiled(&pm, &FaultPlan::new());
-
-    ProfileArtifact {
-        runs: vec![
-            run_profile("direct", &machine, &pd, &rd),
-            run_profile("multipath", &machine, &pm, &rm),
-        ],
-    }
-}
-
-/// The fig6-scale coupling profile: 128 conflicting pairs between the
-/// opposed slabs of the 2048-node partition (see [`coupling_profile`]).
-pub fn fig6_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    coupling_profile(cache, 2048, 128, bytes)
-}
-
-/// Sparse collective-write profile at `cores` (the weak-scaling plan:
-/// nodes → aggregators → bridges → IONs), uniform 1 MB ranks — the
-/// profile twin of [`crate::obs::io_trace`].
-pub fn io_profile(cache: &PlanCache, cores: u32) -> ProfileArtifact {
-    io_profile_with(cache, &SimConfig::default(), cores)
-}
-
-/// [`io_profile`] under an explicit simulator config.
-pub fn io_profile_with(cache: &PlanCache, sim: &SimConfig, cores: u32) -> ProfileArtifact {
-    let shape = shape_for_cores(cores).expect("standard partition");
-    let machine = cache.machine(shape, sim);
-    let map = RankMap::default_map(shape, CORES_PER_NODE);
-    let rank_sizes = vec![1u64 << 20; cores as usize];
-    let data = bgq_workloads::coalesce_to_nodes(&map, &rank_sizes);
-    let total: u64 = data.iter().map(|&(_, b)| b).sum();
-    let chunk = crate::io::sim_chunk_bytes(total, shape.num_nodes());
-
-    let mover = cache.mover(&machine);
-    let mut prog = Program::new(&machine);
-    mover.plan_sparse_write(
-        &mut prog,
-        &data,
-        &IoMoveOptions {
-            max_chunk: chunk,
-            ..Default::default()
-        },
-    );
-    let report = run_profiled(&prog, &FaultPlan::new());
-    ProfileArtifact {
-        runs: vec![run_profile("sparse_write", &machine, &prog, &report)],
-    }
-}
-
-/// Fault-injection profile: the fig5 pair under the direct-route cut —
-/// the `direct` run shows the stall charged to `stalled_by_fault`, the
-/// `multipath` run routes around the cut and stays network-limited.
-pub fn resilience_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    resilience_profile_with(cache, &SimConfig::default(), bytes)
-}
-
-/// [`resilience_profile`] under an explicit simulator config.
-pub fn resilience_profile_with(
-    cache: &PlanCache,
-    sim: &SimConfig,
-    bytes: u64,
-) -> ProfileArtifact {
-    let machine = cache.machine(standard_shape(128).unwrap(), sim);
-    let (src, dst) = (NodeId(0), NodeId(127));
-    let mut pd = Program::new(&machine);
-    let hd = plan_direct(&mut pd, src, dst, bytes);
-    let t0 = hd.completed_at(&pd.run());
-    let plan = fault_plan_for(&machine, &Scenario::DirectCut, t0);
-    let rd = run_profiled(&pd, &plan);
-
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let proxies = cache
-        .proxies(machine.shape(), Zone::Z2, src, dst, &HashSet::new(), &cfg)
-        .proxies();
-    let mut pm = Program::new(&machine);
-    plan_via_proxies(&mut pm, src, dst, bytes, &proxies, &MultipathOptions::default());
-    let rm = run_profiled(&pm, &plan);
-
-    ProfileArtifact {
-        runs: vec![
-            run_profile("direct", &machine, &pd, &rd),
-            run_profile("multipath", &machine, &pm, &rm),
-        ],
-    }
-}
-
-/// Per-algorithm neighborhood-exchange profile: the disjoint-heavy
-/// pattern on a 512-node partition lowered under each
-/// [`ExchangeAlgorithm`](sdm_core::ExchangeAlgorithm), one profiled run
-/// per algorithm. The `direct` run's blame concentrates on the pairs'
-/// own routes (each flow bound by its protocol cap on a disjoint
-/// pattern); the `proxy_multipath` run shows the same payload spread
-/// over the ledger's claimed links.
-pub fn exchange_profile(cache: &PlanCache, bytes: u64) -> ProfileArtifact {
-    exchange_profile_with(cache, &SimConfig::default(), bytes)
-}
-
-/// [`exchange_profile`] under an explicit simulator config.
-pub fn exchange_profile_with(cache: &PlanCache, sim: &SimConfig, bytes: u64) -> ProfileArtifact {
-    let machine = cache.machine(standard_shape(512).unwrap(), sim);
-    let map = crate::exchange::ExchangePattern::DisjointHeavy { bytes }
-        .build(512, crate::exchange::EXCHANGE_SEED);
-    let runs = sdm_core::ExchangeAlgorithm::ALL
-        .into_iter()
-        .map(|alg| {
-            let ex = sdm_core::NeighborhoodExchange::with_mover(cache.mover(&machine));
-            let mut prog = Program::new(&machine);
-            ex.plan(&mut prog, &map, alg);
-            let report = run_profiled(&prog, &FaultPlan::new());
-            run_profile(alg.name(), &machine, &prog, &report)
-        })
-        .collect();
+        let report = prog.simulate(opts);
+        runs.push(run_profile(name, prog.machine(), prog, &report));
+    });
     ProfileArtifact { runs }
 }
 
-/// The representative profile for a figure by name, or `None` for
-/// figures without a simulated execution. Mirrors
-/// [`crate::obs::trace_for`] scenario-for-scenario.
+/// The representative profile for a figure by name (its
+/// [`figure_scenarios`] profile cell), or `None` for figures without a
+/// simulated execution.
 pub fn profile_for(figure: &str, cache: &PlanCache) -> Option<ProfileArtifact> {
-    match figure {
-        "fig5" => Some(pair_profile(cache, 128, TRACE_BYTES)),
-        "fig6" => Some(fig6_profile(cache, TRACE_BYTES)),
-        "fig7" => Some(pair_profile(cache, 512, TRACE_BYTES)),
-        "fig10" | "fig11" => Some(io_profile(cache, 2048)),
-        "resilience" => Some(resilience_profile(cache, TRACE_BYTES)),
-        "exchange" => Some(exchange_profile(cache, TRACE_BYTES)),
-        _ => None,
-    }
+    let scenario = figure_scenarios(figure)?.profile?;
+    Some(profile_scenario(&scenario, cache, &SimConfig::default()))
 }
 
 /// Cap on flows given a binding track, keeping the trace a few
@@ -502,6 +307,14 @@ pub fn render_report(art: &ProfileArtifact) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::TRACE_BYTES;
+    use bgq_torus::{standard_shape, NodeId};
+    use sdm_core::plan_direct;
+
+    /// The fig5 corner pair at `bytes`.
+    fn pair(bytes: u64) -> Representative {
+        Representative::Pair { nodes: 128, bytes }
+    }
 
     #[test]
     fn pair_profile_shows_the_protocol_cap() {
@@ -510,7 +323,7 @@ mod tests {
         // protocol cap (1.6 < 1.8 GB/s), which is exactly why multipath
         // helps. The profiler must say so rather than invent link blame.
         let cache = PlanCache::new();
-        let art = pair_profile(&cache, 128, 4 << 20);
+        let art = profile_scenario(&pair(4 << 20), &cache, &SimConfig::default());
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -535,7 +348,12 @@ mod tests {
         // test size): conflicting pairs collide on shared dimension
         // lines, and the profiler names them.
         let cache = PlanCache::new();
-        let art = coupling_profile(&cache, 128, 16, 4 << 20);
+        let fan_in = Representative::FanInCoupling {
+            nodes: 128,
+            pairs: 16,
+            bytes: 4 << 20,
+        };
+        let art = profile_scenario(&fan_in, &cache, &SimConfig::default());
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -562,7 +380,11 @@ mod tests {
         // One run per exchange algorithm over the same disjoint-heavy
         // map, so the per-algorithm link blame is directly comparable.
         let cache = PlanCache::new();
-        let art = exchange_profile(&cache, TRACE_BYTES);
+        let exchange = Representative::Exchange {
+            nodes: 512,
+            bytes: TRACE_BYTES,
+        };
+        let art = profile_scenario(&exchange, &cache, &SimConfig::default());
         art.validate().expect("profile accounting must balance");
 
         let direct = art.run("direct").unwrap();
@@ -612,8 +434,9 @@ mod tests {
     #[test]
     fn profile_artifact_is_deterministic() {
         let cache = PlanCache::new();
-        let a = pair_profile(&cache, 128, 1 << 20).to_json();
-        let b = pair_profile(&cache, 128, 1 << 20).to_json();
+        let sim = SimConfig::default();
+        let a = profile_scenario(&pair(1 << 20), &cache, &sim).to_json();
+        let b = profile_scenario(&pair(1 << 20), &cache, &sim).to_json();
         assert_eq!(a, b, "same inputs must serialize to the same bytes");
         let back = ProfileArtifact::from_json(&a).unwrap();
         assert_eq!(back.to_json(), a, "round-trip is byte-exact");
@@ -635,7 +458,8 @@ mod tests {
     #[test]
     fn resilience_profile_charges_the_stall_to_faults() {
         let cache = PlanCache::new();
-        let art = resilience_profile(&cache, 4 << 20);
+        let cut = Representative::DirectCut { bytes: 4 << 20 };
+        let art = profile_scenario(&cut, &cache, &SimConfig::default());
         art.validate().unwrap();
         let direct = art.run("direct").unwrap();
         assert!(

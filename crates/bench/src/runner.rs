@@ -12,8 +12,9 @@
 //!   header, a list of points, and a pure `run_point` that turns one
 //!   point into one table [`Row`];
 //! * [`ExperimentSession`] — fans the points of an experiment across
-//!   worker threads (`std::thread::scope`) while collecting results *by
-//!   point index*, so the output is bit-identical to a sequential run
+//!   worker threads (the simulator's index-ordered pool,
+//!   [`bgq_netsim::execute_indexed`]) while collecting results *by point
+//!   index*, so the output is bit-identical to a sequential run
 //!   regardless of thread count.
 //!
 //! Everything an experiment computes is a pure function of its point and
@@ -23,7 +24,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -457,32 +458,7 @@ impl ExperimentSession {
         R: Send,
         F: Fn(&PlanCache, &P) -> R + Sync,
     {
-        let n = points.len();
-        let workers = self.threads.min(n.max(1));
-        if workers <= 1 {
-            return points.iter().map(|p| f(&self.cache, p)).collect();
-        }
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let out = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let r = f(&self.cache, &points[i]);
-                    out.lock().unwrap()[i] = Some(r);
-                });
-            }
-        });
-        out.into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("every point index was claimed by a worker"))
-            .collect()
+        bgq_netsim::execute_indexed(points.len(), self.threads, |i| f(&self.cache, &points[i]))
     }
 
     /// Run every point of `exp` and collect rows in point order.

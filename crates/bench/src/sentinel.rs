@@ -1,8 +1,7 @@
-//! The bench side of the run-ledger: scenario builders that execute the
-//! representative experiments (the same scenarios the traces and
-//! profiles pin) and fold their results into a
-//! [`bgq_obs::RunManifest`], plus the figure → manifest mapping the
-//! `--manifest-out` flag uses.
+//! The bench side of the run-ledger: fold the representative scenarios'
+//! results into a [`bgq_obs::RunManifest`], for the sentinel sweep
+//! ([`run_ledger`]) and for a figure binary's `--manifest-out`
+//! ([`manifest_for`]).
 //!
 //! Every scenario records three things: a **config fingerprint**
 //! (topology, sizes, seeds, simulator constants — the sentinel refuses
@@ -15,29 +14,25 @@
 //! time. Wall-clock quantities (the scale sweep's solver timings) are
 //! recorded under the `wall.` prefix and never serialized.
 //!
-//! All builders take the simulator config explicitly: the sentinel
-//! binary's `--degrade-links` regression-injection knob replays the
-//! same scenarios on a weakened machine, which is how the acceptance
-//! path ("halve a link capacity, watch a REGRESSED verdict name the
-//! link") is exercised end to end.
+//! Every ledger scenario except `scale` is a consumer of the scenario
+//! catalogue ([`crate::catalogue`]): [`ledger_scenario`] looks the
+//! figure up in the same figure → scenario table the traces and
+//! profiles read and profiles the catalogue's runs, so the ledger
+//! measures exactly what the artifacts show. The simulator config is
+//! explicit: the sentinel binary's `--degrade-links` regression-injection
+//! knob replays the same scenarios on a weakened machine, which is how
+//! the acceptance path ("halve a link capacity, watch a REGRESSED
+//! verdict name the link") is exercised end to end.
 
+use crate::catalogue::{figure_scenarios, Representative};
 use crate::exchange::{exchange_point_with, ExchangePattern};
-use crate::obs::TRACE_BYTES;
-use crate::profile::{
-    coupling_profile_with, exchange_profile_with, io_profile_with, pair_profile_with,
-    resilience_profile_with,
-};
-use crate::resilience::{fault_plan_for, Scenario};
+use crate::profile::profile_observing;
 use crate::runner::PlanCache;
 use crate::scale::scale_point_with;
-use bgq_comm::Program;
 use bgq_netsim::{SimConfig, SimObserver};
 use bgq_obs::{ProfileArtifact, RunManifest, ScenarioManifest};
-use bgq_torus::{standard_shape, NodeId, Zone, CORES_PER_NODE};
-use sdm_core::{
-    plan_direct, plan_via_proxies, ExchangeAlgorithm, MultipathOptions, ProxySearchConfig,
-};
-use std::collections::HashSet;
+use bgq_torus::CORES_PER_NODE;
+use sdm_core::ExchangeAlgorithm;
 
 /// How the ledger runs its scenarios.
 #[derive(Debug, Clone)]
@@ -115,108 +110,44 @@ fn pair_metrics(s: &mut ScenarioManifest, art: &ProfileArtifact) {
     }
 }
 
-/// fig5: the 128-node corner pair, direct vs 4-proxy multipath.
-pub fn fig5_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("fig5");
-    s.config("nodes", 128);
-    s.config("bytes", TRACE_BYTES);
-    s.config("proxies", 4);
-    sim_config_entries(&mut s, &opts.sim);
-    let art = pair_profile_with(cache, &opts.sim, 128, TRACE_BYTES);
-    pair_metrics(&mut s, &art);
-    s.attach_profile(&art, opts.top_blame);
-    s
-}
-
-/// fig6: the contended 2048-node group coupling (128 conflicting
-/// pairs, 4:1 fan-in) — the same cell `results/BENCH_profile_fig6.json`
-/// pins, so `obs_report --cross` can check the two artifacts agree.
-pub fn fig6_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("fig6");
-    s.config("nodes", 2048);
-    s.config("pairs", 128);
-    s.config("bytes", TRACE_BYTES);
-    sim_config_entries(&mut s, &opts.sim);
-    let art = coupling_profile_with(cache, &opts.sim, 2048, 128, TRACE_BYTES);
-    pair_metrics(&mut s, &art);
-    s.attach_profile(&art, opts.top_blame);
-    s
-}
-
-/// fig7: the 512-node corner pair (the proxy-count sweep's partition).
-pub fn fig7_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("fig7");
-    s.config("nodes", 512);
-    s.config("bytes", TRACE_BYTES);
-    s.config("proxies", 4);
-    sim_config_entries(&mut s, &opts.sim);
-    let art = pair_profile_with(cache, &opts.sim, 512, TRACE_BYTES);
-    pair_metrics(&mut s, &art);
-    s.attach_profile(&art, opts.top_blame);
-    s
-}
-
-/// io: the 2048-core sparse collective write (nodes → aggregators →
-/// bridges → IONs), uniform 1 MB ranks.
-pub fn io_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    const CORES: u32 = 2048;
-    let mut s = ScenarioManifest::new("io");
-    s.config("cores", CORES);
-    s.config("nodes", CORES / CORES_PER_NODE);
-    s.config("rank_bytes", 1u64 << 20);
-    sim_config_entries(&mut s, &opts.sim);
-    let art = io_profile_with(cache, &opts.sim, CORES);
-    s.metric("sparse_write.throughput", run_throughput(&art, "sparse_write"));
-    s.attach_profile(&art, opts.top_blame);
-    s
-}
-
-/// resilience: the fig5 pair under the direct-route cut, plus an
-/// observed multipath run so the engine's stall/resume/fault counters
-/// land in the ledger (via [`SimObserver::scalars`]).
-pub fn resilience_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("resilience");
-    s.config("nodes", 128);
-    s.config("bytes", TRACE_BYTES);
-    s.config("scenario", "direct_cut");
-    sim_config_entries(&mut s, &opts.sim);
-    let art = resilience_profile_with(cache, &opts.sim, TRACE_BYTES);
-    s.attach_profile(&art, opts.top_blame);
-
-    // Observed replay of the multipath side: the profile shows *where*
-    // the direct run's stall went; the observer counts *how many* flows
-    // the fault epoch froze and thawed.
-    let machine = cache.machine(standard_shape(128).unwrap(), &opts.sim);
-    let (src, dst) = (NodeId(0), NodeId(127));
-    let mut pd = Program::new(&machine);
-    let hd = plan_direct(&mut pd, src, dst, TRACE_BYTES);
-    let t0 = hd.completed_at(&pd.run());
-    let plan = fault_plan_for(&machine, &Scenario::DirectCut, t0);
-    let cfg = ProxySearchConfig {
-        max_proxies: 4,
-        ..Default::default()
-    };
-    let proxies = cache
-        .proxies(machine.shape(), Zone::Z2, src, dst, &HashSet::new(), &cfg)
-        .proxies();
-    let mut pm = Program::new(&machine);
-    plan_via_proxies(&mut pm, src, dst, TRACE_BYTES, &proxies, &MultipathOptions::default());
-    let mut obs = SimObserver::new();
-    let rep = pm.run_observed(&plan, &mut obs);
-    s.metric("multipath.makespan", rep.end_time);
-    for (name, v) in obs.scalars("sim.") {
-        s.metric(&name, v);
+/// Fingerprint a catalogue scenario's size parameters.
+fn scenario_config(s: &mut ScenarioManifest, scenario: &Representative) {
+    match *scenario {
+        Representative::Pair { nodes, bytes } => {
+            s.config("nodes", nodes);
+            s.config("bytes", bytes);
+            s.config("proxies", 4);
+        }
+        Representative::AlignedCoupling { nodes, pairs, bytes }
+        | Representative::FanInCoupling { nodes, pairs, bytes } => {
+            s.config("nodes", nodes);
+            s.config("pairs", pairs);
+            s.config("bytes", bytes);
+        }
+        Representative::SparseWrite { cores } => {
+            s.config("cores", cores);
+            s.config("nodes", cores / CORES_PER_NODE);
+            s.config("rank_bytes", 1u64 << 20);
+        }
+        Representative::DirectCut { bytes } => {
+            s.config("nodes", 128);
+            s.config("bytes", bytes);
+            s.config("scenario", "direct_cut");
+        }
+        Representative::Exchange { nodes, bytes } => {
+            s.config("nodes", nodes);
+            s.config("pattern", "disjoint_heavy");
+            s.config("bytes", bytes);
+            s.config("seed", crate::exchange::EXCHANGE_SEED);
+        }
     }
-    s
 }
 
 /// scale: the 512-node full-vs-incremental waterfill comparison. The
 /// simulated quantities (makespan, event/solve counts) are golden; the
 /// wall-clock timings ride along under `wall.` and never serialize.
-pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("scale");
+fn scale_metrics(s: &mut ScenarioManifest, opts: &LedgerOptions) {
     s.config("nodes", 512);
-    sim_config_entries(&mut s, &opts.sim);
     let p = scale_point_with(512, &opts.sim, opts.threads);
     s.metric("transfers", p.transfers as f64);
     s.metric("shards", p.shards as f64);
@@ -234,22 +165,21 @@ pub fn scale_scenario(opts: &LedgerOptions) -> ScenarioManifest {
     s.metric("wall.sharded.secs", p.sharded.wall_secs);
     s.metric("wall.speedup", p.speedup());
     s.metric("wall.parallel_speedup", p.parallel_speedup());
-    s
 }
 
-/// exchange: the 512-node disjoint-heavy neighborhood exchange under
-/// all three algorithms — the sweep cell pinned as
-/// `tests/golden/exchange.csv` — plus the per-algorithm profile.
-pub fn exchange_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioManifest {
-    let mut s = ScenarioManifest::new("exchange");
-    let pattern = ExchangePattern::DisjointHeavy { bytes: TRACE_BYTES };
-    s.config("nodes", 512);
-    s.config("pattern", "disjoint_heavy");
-    s.config("bytes", TRACE_BYTES);
-    s.config("seed", crate::exchange::EXCHANGE_SEED);
-    sim_config_entries(&mut s, &opts.sim);
-
-    let point = exchange_point_with(cache, &opts.sim, 512, pattern);
+/// exchange: the sweep cell pinned as `tests/golden/exchange.csv` (all
+/// three algorithms on the disjoint-heavy pattern) — throughput,
+/// makespan and discovery cost per algorithm, the multipath speedup and
+/// the ledger's win ratio.
+fn exchange_metrics(
+    s: &mut ScenarioManifest,
+    cache: &PlanCache,
+    opts: &LedgerOptions,
+    nodes: u32,
+    bytes: u64,
+) {
+    let pattern = ExchangePattern::DisjointHeavy { bytes };
+    let point = exchange_point_with(cache, &opts.sim, nodes, pattern);
     s.metric("pairs", point.pairs as f64);
     for r in &point.results {
         let name = r.algorithm.name();
@@ -264,45 +194,97 @@ pub fn exchange_scenario(cache: &PlanCache, opts: &LedgerOptions) -> ScenarioMan
         "multipath.win_ratio",
         mp.pairs_multipath as f64 / (point.pairs.max(1)) as f64,
     );
-
-    let art = exchange_profile_with(cache, &opts.sim, TRACE_BYTES);
-    s.attach_profile(&art, opts.top_blame);
-    s
 }
+
+/// The ledger scenario of a figure, or `None` for figures without a
+/// simulated execution. Each records its config fingerprint, its
+/// scalar metrics and the blame rollup of the figure's profiled
+/// catalogue runs:
+///
+/// * `fig5`, `fig7` (corner pairs) and `fig6` (the contended 4:1 fan-in
+///   coupling `results/BENCH_profile_fig6.json` pins, so
+///   `obs_report --cross` can check the two artifacts agree):
+///   per-run throughput and the direct-over-multipath speedup;
+/// * `io` (fig10/fig11): the sparse write's throughput;
+/// * `resilience`: the observer rides on the catalogue's multipath run,
+///   so the engine's stall/resume/fault counters land in the ledger (via
+///   [`SimObserver::scalars`]) next to the profile's account of where
+///   the direct run's stall went;
+/// * `exchange`: the sweep cell's per-algorithm metrics;
+/// * `scale`: not a catalogue run, but the 512-node full-vs-incremental
+///   waterfill comparison, with its wall-clock timings under `wall.`.
+pub fn ledger_scenario(
+    figure: &str,
+    cache: &PlanCache,
+    opts: &LedgerOptions,
+) -> Option<ScenarioManifest> {
+    let row = figure_scenarios(figure)?;
+    let mut s = ScenarioManifest::new(row.ledger);
+    sim_config_entries(&mut s, &opts.sim);
+    let Some(scenario) = row.profile else {
+        scale_metrics(&mut s, opts);
+        return Some(s);
+    };
+    scenario_config(&mut s, &scenario);
+    // The cut scenario's observer rides on its multipath run: the
+    // profile shows where the direct run's stall went, the observer
+    // counts how many flows the fault epoch froze and thawed.
+    let mut obs = SimObserver::new();
+    let watch = matches!(scenario, Representative::DirectCut { .. })
+        .then_some(("multipath", &mut obs));
+    let art = profile_observing(&scenario, cache, &opts.sim, watch);
+    match scenario {
+        Representative::DirectCut { .. } => {
+            let multipath = art.run("multipath").expect("cut scenario has a multipath run");
+            s.metric("multipath.makespan", multipath.end_time);
+            for (name, v) in obs.scalars("sim.") {
+                s.metric(&name, v);
+            }
+        }
+        Representative::SparseWrite { .. } => {
+            s.metric("sparse_write.throughput", run_throughput(&art, "sparse_write"));
+        }
+        Representative::Exchange { nodes, bytes } => {
+            exchange_metrics(&mut s, cache, opts, nodes, bytes);
+        }
+        Representative::Pair { .. }
+        | Representative::AlignedCoupling { .. }
+        | Representative::FanInCoupling { .. } => pair_metrics(&mut s, &art),
+    }
+    s.attach_profile(&art, opts.top_blame);
+    Some(s)
+}
+
+/// The figures whose ledger scenarios the sentinel sweeps (fig11 shares
+/// fig10's `io` scenario).
+const LEDGER_FIGURES: [&str; 7] = [
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig10",
+    "resilience",
+    "scale",
+    "exchange",
+];
 
 /// Run every ledger scenario and assemble the manifest. This is what
 /// the `sentinel` binary executes; scenario order in the output is
 /// alphabetical regardless of execution order.
 pub fn run_ledger(cache: &PlanCache, opts: &LedgerOptions) -> RunManifest {
     let mut m = RunManifest::default();
-    m.push(fig5_scenario(cache, opts));
-    m.push(fig6_scenario(cache, opts));
-    m.push(fig7_scenario(cache, opts));
-    m.push(io_scenario(cache, opts));
-    m.push(resilience_scenario(cache, opts));
-    m.push(scale_scenario(opts));
-    m.push(exchange_scenario(cache, opts));
+    for figure in LEDGER_FIGURES {
+        m.push(ledger_scenario(figure, cache, opts).expect("ledger figure has a scenario"));
+    }
     m.validate().expect("ledger manifest must validate");
     m
 }
 
-/// The single-scenario manifest for a figure binary's `--manifest-out`,
-/// or `None` for figures without a simulated execution (mirrors
-/// [`crate::profile::profile_for`] scenario-for-scenario).
+/// The single-scenario manifest for a figure binary's `--manifest-out`
+/// (its [`ledger_scenario`]), or `None` for figures without a simulated
+/// execution.
 pub fn manifest_for(figure: &str, cache: &PlanCache) -> Option<RunManifest> {
-    let opts = LedgerOptions::default();
-    let scenario = match figure {
-        "fig5" => fig5_scenario(cache, &opts),
-        "fig6" => fig6_scenario(cache, &opts),
-        "fig7" => fig7_scenario(cache, &opts),
-        "fig10" | "fig11" => io_scenario(cache, &opts),
-        "resilience" => resilience_scenario(cache, &opts),
-        "exchange" => exchange_scenario(cache, &opts),
-        "scale" => scale_scenario(&opts),
-        _ => return None,
-    };
     let mut m = RunManifest::default();
-    m.push(scenario);
+    m.push(ledger_scenario(figure, cache, &LedgerOptions::default())?);
     Some(m)
 }
 
@@ -345,8 +327,8 @@ mod tests {
     fn fig5_scenario_is_deterministic_and_self_neutral() {
         let cache = PlanCache::new();
         let opts = LedgerOptions::default();
-        let a = fig5_scenario(&cache, &opts);
-        let b = fig5_scenario(&cache, &opts);
+        let a = ledger_scenario("fig5", &cache, &opts).unwrap();
+        let b = ledger_scenario("fig5", &cache, &opts).unwrap();
         assert_eq!(a, b, "same inputs, same scenario");
         a.validate().unwrap();
         assert!(a.metric_value("speedup").unwrap() > 1.0, "multipath wins");
@@ -363,8 +345,7 @@ mod tests {
 
     #[test]
     fn scale_scenario_keeps_wall_metrics_out_of_the_artifact() {
-        let opts = LedgerOptions::default();
-        let s = scale_scenario(&opts);
+        let s = ledger_scenario("scale", &PlanCache::new(), &LedgerOptions::default()).unwrap();
         assert!(s.metric_value("wall.speedup").is_some(), "kept in memory");
         assert!(s.metric_value("makespan").unwrap() > 0.0);
         assert!(s.metric_value("full_run_reduction").unwrap() >= 1.0);
@@ -376,7 +357,7 @@ mod tests {
     #[test]
     fn exchange_scenario_records_the_win_ratio() {
         let cache = PlanCache::new();
-        let s = exchange_scenario(&cache, &LedgerOptions::default());
+        let s = ledger_scenario("exchange", &cache, &LedgerOptions::default()).unwrap();
         assert_eq!(s.metric_value("pairs"), Some(8.0));
         assert!(s.metric_value("speedup").unwrap() >= 1.5, "the paper's bar");
         let win = s.metric_value("multipath.win_ratio").unwrap();
@@ -397,9 +378,9 @@ mod tests {
         bad_opts.sim.io_link_bandwidth *= 0.5;
 
         let mut base = RunManifest::default();
-        base.push(fig5_scenario(&cache, &base_opts));
+        base.push(ledger_scenario("fig5", &cache, &base_opts).unwrap());
         let mut cur = RunManifest::default();
-        cur.push(fig5_scenario(&cache, &bad_opts));
+        cur.push(ledger_scenario("fig5", &cache, &bad_opts).unwrap());
 
         let rep = sentinel::diff(&cur, &base);
         assert!(rep.has_regressions(), "halved links must regress");

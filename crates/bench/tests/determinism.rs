@@ -6,7 +6,7 @@ use bgq_bench::experiments::{Fig10, Fig5};
 use bgq_bench::resilience::Resilience;
 use bgq_bench::{fig10_scales, BenchArgs, Experiment, ExperimentSession, PlanCache};
 use bgq_comm::{Machine, Program};
-use bgq_netsim::{FaultPlan, SimConfig};
+use bgq_netsim::{FaultPlan, SimConfig, SimOptions};
 use bgq_torus::{standard_shape, NodeId, Zone};
 use proptest::prelude::*;
 use sdm_core::{find_proxies, plan_via_proxies, MultipathOptions, ProxySearchConfig};
@@ -97,7 +97,7 @@ fn identical_fault_plans_give_identical_sim_reports() {
             &proxies,
             &MultipathOptions::default(),
         );
-        (prog.run_with_faults(&plan), h)
+        (prog.simulate(SimOptions::new().faults(&plan)), h)
     };
     let (a, _) = run();
     let (b, _) = run();

@@ -8,8 +8,7 @@
 use crate::health::HealthMask;
 use crate::machine::Machine;
 use bgq_netsim::{
-    FaultPlan, SimObserver, SimOptions, SimReport, TransferGraph, TransferId, TransferSpec,
-    TransferStatus,
+    FaultPlan, SimOptions, SimReport, TransferGraph, TransferId, TransferSpec, TransferStatus,
 };
 use bgq_obs::MetricsRegistry;
 use bgq_torus::NodeId;
@@ -232,8 +231,8 @@ impl<'m> Program<'m> {
 
     /// Execute the program on a fresh simulator under `opts` — the full
     /// engine surface ([`SimOptions`] carries the optional fault plan,
-    /// observer and solver mode). The `run*` conveniences below are
-    /// sugar over this.
+    /// observer, profiler and solver mode). [`Program::run`] is the
+    /// fault-free shorthand.
     pub fn simulate(&self, opts: SimOptions<'_>) -> SimReport {
         self.machine.simulator().simulate(&self.graph, opts)
     }
@@ -241,20 +240,6 @@ impl<'m> Program<'m> {
     /// Execute the program on a fresh simulator.
     pub fn run(&self) -> SimReport {
         self.simulate(SimOptions::new())
-    }
-
-    /// Execute the program under a fault schedule. With an empty plan
-    /// this is exactly [`Program::run`].
-    pub fn run_with_faults(&self, faults: &FaultPlan) -> SimReport {
-        self.simulate(SimOptions::new().faults(faults))
-    }
-
-    /// Execute under a fault schedule with engine observation: waterfill
-    /// epochs, the per-link heatmap and stall/resume events accumulate
-    /// into `obs`. The report is bit-identical to
-    /// [`Program::run_with_faults`] on the same inputs.
-    pub fn run_observed(&self, faults: &FaultPlan, obs: &mut SimObserver) -> SimReport {
-        self.simulate(SimOptions::new().faults(faults).observer(obs))
     }
 }
 
@@ -395,7 +380,7 @@ where
             remaining == 0 || handle.bytes > 0,
             "re-plan scheduled no bytes with {remaining} remaining"
         );
-        let report = prog.run_with_faults(faults);
+        let report = prog.simulate(SimOptions::new().faults(faults));
         let specs = prog.graph().specs();
         let arrived: u64 = handle
             .tokens
@@ -678,7 +663,7 @@ mod tests {
         let t = p.put(NodeId(0), NodeId(127), 1 << 20);
         let plain = p.run();
         let mut obs = bgq_netsim::SimObserver::new();
-        let watched = p.run_observed(&FaultPlan::new(), &mut obs);
+        let watched = p.simulate(SimOptions::new().observer(&mut obs));
         assert_eq!(
             plain.delivered_at(t).to_bits(),
             watched.delivered_at(t).to_bits()

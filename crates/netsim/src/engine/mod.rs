@@ -35,6 +35,7 @@ use faults::FaultState;
 use flow_state::FlowSet;
 use leveling::Leveler;
 use queue::{Event, EventQueue};
+pub use shard::execute as execute_indexed;
 use shard::{execute, partition, PartitionOutcome};
 
 /// Bytes below which a flow is considered complete (absorbs float error).
@@ -296,29 +297,6 @@ impl Simulator {
 
     pub fn capacities(&self) -> &[f64] {
         &self.capacities
-    }
-
-    /// Execute `graph` and return per-transfer timings.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run(&self, graph: &TransferGraph) -> SimReport {
-        self.simulate(graph, SimOptions::new())
-    }
-
-    /// Execute `graph` under a fault schedule.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run_with_faults(&self, graph: &TransferGraph, faults: &FaultPlan) -> SimReport {
-        self.simulate(graph, SimOptions::new().faults(faults))
-    }
-
-    /// Execute `graph` under a fault schedule with passive observation.
-    #[deprecated(note = "use `Simulator::simulate` with `SimOptions`")]
-    pub fn run_observed(
-        &self,
-        graph: &TransferGraph,
-        faults: &FaultPlan,
-        obs: &mut SimObserver,
-    ) -> SimReport {
-        self.simulate(graph, SimOptions::new().faults(faults).observer(obs))
     }
 
     /// Execute `graph` under `opts` and return per-transfer timings.
@@ -987,7 +965,7 @@ mod tests {
         s.simulate(g, SimOptions::new())
     }
 
-    fn run_with_faults(s: &Simulator, g: &TransferGraph, plan: &FaultPlan) -> SimReport {
+    fn run_faulted(s: &Simulator, g: &TransferGraph, plan: &FaultPlan) -> SimReport {
         s.simulate(g, SimOptions::new().faults(plan))
     }
 
@@ -1170,33 +1148,6 @@ mod tests {
         assert!((t_d - 7.0).abs() < 1e-6, "{t_d}");
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_simulate() {
-        // The old run surface is thin sugar over `simulate`; pin the
-        // equivalence until the wrappers are removed.
-        let s = sim(3, vec![100.0]);
-        let mut g = TransferGraph::new();
-        g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0)]));
-        g.add(TransferSpec::new(1, 2, 700, vec![ResourceId(0)]));
-        let plan = FaultPlan::new().degrade_link(3.0, ResourceId(0), 0.5);
-
-        let a = s.run(&g);
-        let b = s.simulate(&g, SimOptions::new());
-        assert_eq!(a.delivery_time, b.delivery_time);
-
-        let a = s.run_with_faults(&g, &plan);
-        let b = s.simulate(&g, SimOptions::new().faults(&plan));
-        assert_eq!(a.delivery_time, b.delivery_time);
-
-        let mut o1 = SimObserver::new();
-        let mut o2 = SimObserver::new();
-        let a = s.run_observed(&g, &plan, &mut o1);
-        let b = s.simulate(&g, SimOptions::new().faults(&plan).observer(&mut o2));
-        assert_eq!(a.delivery_time, b.delivery_time);
-        assert_eq!(o1, o2);
-    }
-
     // ---- fault injection ----
 
     use crate::fault::FaultPlan;
@@ -1208,7 +1159,7 @@ mod tests {
         g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0)]));
         g.add(TransferSpec::new(1, 2, 700, vec![ResourceId(0)]));
         let a = run(&s, &g);
-        let b = run_with_faults(&s, &g, &FaultPlan::new());
+        let b = run_faulted(&s, &g, &FaultPlan::new());
         assert_eq!(a.delivery_time, b.delivery_time);
         assert_eq!(a.flow_start_time, b.flow_start_time);
         assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
@@ -1223,7 +1174,7 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_link(6.0, ResourceId(0));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(t), TransferStatus::Stalled);
         assert_eq!(rep.delivered_at(t), f64::INFINITY);
         assert_eq!(rep.makespan, f64::INFINITY);
@@ -1247,7 +1198,7 @@ mod tests {
         let plan = FaultPlan::new()
             .fail_link(6.0, ResourceId(0))
             .restore_link(16.0, ResourceId(0));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(t), TransferStatus::Delivered);
         assert!((rep.delivered_at(t) - 21.0).abs() < 1e-6, "{}", rep.delivered_at(t));
         // Stalled over [6, 16].
@@ -1262,7 +1213,7 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().degrade_link(6.0, ResourceId(0), 0.5);
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert!((rep.delivered_at(t) - 16.0).abs() < 1e-6, "{}", rep.delivered_at(t));
         // Degraded, not blocked: no stall time.
         assert_eq!(rep.stall_time_of(t), 0.0);
@@ -1274,7 +1225,7 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_link(3.0, ResourceId(1));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert!((rep.delivered_at(t) - 11.0).abs() < 1e-9);
         assert!(rep.all_delivered());
     }
@@ -1287,7 +1238,7 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_node(0.0, 0).restore_node(5.0, 0);
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert!((rep.delivered_at(t) - 16.0).abs() < 1e-6, "{}", rep.delivered_at(t));
         // Parked before injection is not a stall: the flow never existed.
         assert_eq!(rep.stall_time_of(t), 0.0);
@@ -1299,7 +1250,7 @@ mod tests {
         let mut g = TransferGraph::new();
         let t = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_node(6.0, 1);
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(t), TransferStatus::Stalled);
         assert!(rep.flow_start_time[t.index()].is_finite());
         assert!(rep.stall_time_of(t) > 0.0);
@@ -1313,7 +1264,7 @@ mod tests {
         let a = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let b = g.add(TransferSpec::new(1, 2, 1000, vec![ResourceId(1)]).after(vec![a]));
         let plan = FaultPlan::new().fail_link(6.0, ResourceId(0));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(a), TransferStatus::Stalled);
         assert_eq!(rep.status_of(b), TransferStatus::NotStarted);
         assert_eq!(rep.flow_start_time[b.index()], f64::INFINITY);
@@ -1330,7 +1281,7 @@ mod tests {
         let a = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let b = g.add(TransferSpec::new(2, 3, 1000, vec![ResourceId(1)]));
         let plan = FaultPlan::new().fail_link(2.0, ResourceId(0));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(a), TransferStatus::Stalled);
         assert_eq!(rep.status_of(b), TransferStatus::Delivered);
         assert!((rep.delivered_at(b) - 11.0).abs() < 1e-6);
@@ -1348,7 +1299,7 @@ mod tests {
         let a = g.add(TransferSpec::new(0, 2, 1000, vec![ResourceId(0), ResourceId(1)]));
         let b = g.add(TransferSpec::new(1, 2, 1000, vec![ResourceId(0)]));
         let plan = FaultPlan::new().fail_link(6.0, ResourceId(1));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(a), TransferStatus::Stalled);
         assert!((rep.delivered_at(b) - 13.5).abs() < 1e-6, "{}", rep.delivered_at(b));
     }
@@ -1424,7 +1375,7 @@ mod tests {
             .fail_link(6.0, ResourceId(1))
             .restore_link(9.0, ResourceId(1));
 
-        let plain = run_with_faults(&s, &g, &plan);
+        let plain = run_faulted(&s, &g, &plan);
         let mut obs = SimObserver::new();
         let watched = s.simulate(&g, SimOptions::new().faults(&plan).observer(&mut obs));
 
@@ -1479,7 +1430,7 @@ mod tests {
         let s = sim(2, vec![100.0]);
         let g = TransferGraph::new();
         let plan = FaultPlan::new().fail_link(1.0, ResourceId(9));
-        run_with_faults(&s, &g, &plan);
+        run_faulted(&s, &g, &plan);
     }
 
     // ---- NaN ordering regression ----
@@ -1597,7 +1548,7 @@ mod tests {
         // The fault hits resource 2 — component 1 only. Component 1's
         // flows stall over [6, 12]; the other components are untouched.
         let (s, g, plan) = sharded_fixture();
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert!(rep.all_delivered());
         assert!((rep.stall_time[2] - 6.0).abs() < 1e-9, "{}", rep.stall_time[2]);
         for i in [0usize, 1, 4, 5] {
@@ -1616,7 +1567,7 @@ mod tests {
         let a = g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
         let b = g.add(TransferSpec::new(2, 3, 40_000, vec![ResourceId(1)]));
         let plan = FaultPlan::new().fail_link(6.0, ResourceId(0));
-        let rep = run_with_faults(&s, &g, &plan);
+        let rep = run_faulted(&s, &g, &plan);
         assert_eq!(rep.status_of(a), TransferStatus::Stalled);
         assert_eq!(rep.status_of(b), TransferStatus::Delivered);
         // b runs alone: injected at 1, 40_000 bytes at 100 B/s -> 401.

@@ -286,11 +286,14 @@ pub(crate) fn partition(
     PartitionOutcome::Sharded(plans)
 }
 
-/// Run `f(shard_index)` for every shard, inline when `threads <= 1`,
-/// otherwise on a scoped worker pool with atomic work stealing. Results
-/// come back indexed by shard — the caller merges them in canonical
-/// order, so scheduling never influences output.
-pub(crate) fn execute<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
+/// Run `f(i)` for every index `i < count`, inline when `threads <= 1`,
+/// otherwise on a scoped pool of `threads` workers with atomic work
+/// stealing. Results come back in index order, so scheduling never
+/// influences output. The engine runs its shards on this pool (and
+/// merges them in canonical order); it is exported as
+/// `bgq_netsim::execute_indexed` for callers with their own independent
+/// work items.
+pub fn execute<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,

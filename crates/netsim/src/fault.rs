@@ -2,10 +2,11 @@
 //!
 //! A [`FaultPlan`] is a time-ordered list of capacity-change events —
 //! link degradations, full link failures, node failures, and recoveries —
-//! applied by [`Simulator::run_with_faults`](crate::Simulator::run_with_faults)
-//! at fixed simulation timestamps. Plans are plain data: building one
-//! never touches the engine, and an empty plan leaves the engine's
-//! behaviour (and its exact float arithmetic) untouched.
+//! applied by [`Simulator::simulate`](crate::Simulator::simulate) (through
+//! [`SimOptions::faults`](crate::SimOptions::faults)) at fixed simulation
+//! timestamps. Plans are plain data: building one never touches the
+//! engine, and an empty plan leaves the engine's behaviour (and its exact
+//! float arithmetic) untouched.
 //!
 //! Determinism: events fire in `(time, insertion order)` order, the
 //! random generator is a hand-rolled SplitMix64 (no external RNG

@@ -33,11 +33,13 @@ pub mod graph;
 pub mod obs;
 pub mod profile;
 pub mod stats;
-pub mod trace;
 pub mod waterfill;
 
 pub use config::SimConfig;
-pub use engine::{SimOptions, SimReport, Simulator, SolverMode, TransferStatus, DEFAULT_FULL_FRACTION};
+pub use engine::{
+    execute_indexed, SimOptions, SimReport, Simulator, SolverMode, TransferStatus,
+    DEFAULT_FULL_FRACTION,
+};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
 pub use obs::{FaultReLevel, HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};
@@ -46,5 +48,4 @@ pub use stats::{
     active_fraction, activity_timeline, node_traffic, stragglers, try_active_fraction,
     try_utilization, utilization, windowed_throughput, StatsError, Utilization,
 };
-pub use trace::{gantt, to_csv as trace_to_csv, trace, TraceRow};
 pub use waterfill::{FlowDemand, Waterfill};

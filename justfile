@@ -29,13 +29,20 @@ shard-smoke:
     @echo "sharded reports byte-identical at 1/2/8 threads"
 
 # Observability smoke check: run fig5 with artifacts, then validate them
-# (JSON parses, CSV sorted/deduplicated, nothing undelivered).
+# (JSON parses, CSV sorted/deduplicated, nothing undelivered). Then trace
+# the faulted path: the resilience trace is the one representative trace
+# with stall instants and undelivered spans (written under target/, it
+# is not a pinned artifact).
 obs:
     cargo run --release -p bgq-bench --bin fig5 -- --coarse --threads 4 \
         --metrics-out results/obs/fig5.metrics.csv \
         --trace-out results/obs/fig5.trace.json
     cargo run --release -p bgq-bench --bin obs_report -- --check \
         results/obs/fig5.metrics.csv results/obs/fig5.trace.json
+    cargo run --release -p bgq-bench --bin resilience -- --coarse --threads 2 \
+        --trace-out target/obs/resilience.trace.json
+    cargo run --release -p bgq-bench --bin obs_report -- --check \
+        target/obs/resilience.trace.json
 
 # Bottleneck-attribution gate: profile fig6's contended coupling, print
 # the "why was this slow" report, validate the artifact's accounting,

@@ -69,7 +69,8 @@ fn exchange_profile_matches_golden_and_accounts_to_elapsed() {
     // map. `validate()` is the accounting pin: every transfer's
     // cap/link-blame/serialization decomposition must sum to its
     // elapsed time, so the per-algorithm link blame is trustworthy.
-    let art = bgq_bench::exchange_profile(ExperimentSession::new(1).cache(), 32 << 20);
+    let art = profile_for("exchange", ExperimentSession::new(1).cache())
+        .expect("the exchange has a representative profile");
     art.validate().expect("exchange profile accounting must balance");
     for run in &art.runs {
         let blamed: f64 = run.link_blame().iter().map(|(_, s)| s).sum();
