@@ -22,11 +22,16 @@
 //! rates.
 //!
 //! When the dirty closure exceeds `full_fraction` of the active set the
-//! leveler falls back to a full solve: the BFS plus sub-demand
-//! bookkeeping would cost more than it saves, and the fallback keeps the
-//! worst case at the classical engine's cost. The threshold is a pure
-//! performance knob — results are identical at any value, which
-//! `tests/incremental.rs` pins.
+//! leveler falls back to a full solve: the sub-demand bookkeeping would
+//! cost more than it saves, and the fallback keeps the worst case at the
+//! classical engine's cost. The closure is bounded: the leveler keeps an
+//! exact count of dirty *active* flows (a flow that leaves is unmarked),
+//! the count only grows during the BFS, so the BFS stops the moment it
+//! passes the threshold — the same fallback decision the complete
+//! closure would reach, at a fraction of its cost in dense regimes where
+//! almost every re-level closes over the whole active set. The threshold
+//! is a pure performance knob — results are identical at any value,
+//! which `tests/incremental.rs` pins.
 
 use crate::config::SimConfig;
 use crate::graph::TransferSpec;
@@ -48,9 +53,14 @@ pub(crate) struct Leveler {
     res_flows: Vec<Vec<u32>>,
     res_dirty: Vec<bool>,
     dirty_res: Vec<u32>,
-    /// Per-transfer dirty marks (indexed by transfer id).
+    /// Per-transfer dirty marks (indexed by transfer id). Only active
+    /// flows carry a mark: a leaving flow drops its own.
     flow_dirty: Vec<bool>,
+    /// Every flow marked since the last re-level (a flow that left and
+    /// rejoined may appear twice); the list `clear_dirty` walks.
     dirty_flows: Vec<u32>,
+    /// Number of flows whose `flow_dirty` mark is set.
+    dirty_count: usize,
     /// Active-list indices of dirty flows, rebuilt each re-level.
     sub_idx: Vec<u32>,
     /// Per-transfer binding resource (the waterfill resource whose
@@ -86,6 +96,7 @@ impl Leveler {
             dirty_res: Vec::new(),
             flow_dirty: vec![false; num_transfers],
             dirty_flows: Vec::new(),
+            dirty_count: 0,
             sub_idx: Vec::new(),
             binding: vec![crate::waterfill::CAP_BINDING; num_transfers],
             full_runs: 0,
@@ -104,6 +115,7 @@ impl Leveler {
         if !self.flow_dirty[tid as usize] {
             self.flow_dirty[tid as usize] = true;
             self.dirty_flows.push(tid);
+            self.dirty_count += 1;
         }
     }
 
@@ -118,9 +130,14 @@ impl Leveler {
         }
     }
 
-    /// A flow left the active set (completed or stalled): unindex it and
+    /// A flow left the active set (completed or stalled): unindex it,
+    /// drop its own dirty mark (it is no longer in the demand set) and
     /// mark its route — the bandwidth it held is up for redistribution.
     pub fn note_leave(&mut self, tid: u32, route: &[crate::graph::ResourceId]) {
+        if self.flow_dirty[tid as usize] {
+            self.flow_dirty[tid as usize] = false;
+            self.dirty_count -= 1;
+        }
         for r in route {
             let ri = r.0 as usize;
             if let Some(p) = self.res_flows[ri].iter().position(|&t| t == tid) {
@@ -160,42 +177,45 @@ impl Leveler {
 
         // Transitive closure: dirty resource -> its flows dirty -> their
         // routes dirty. `dirty_res` doubles as the BFS worklist (the
-        // scan index only moves forward over appended entries).
+        // scan index only moves forward over appended entries). Only
+        // active flows sit in `res_flows`, so `dirty_count` is the
+        // number of dirty active flows; it never shrinks here, so once
+        // it passes the threshold the full closure would too.
+        let threshold = self.full_fraction * active.len() as f64;
+        let mut fallback = self.dirty_count as f64 > threshold;
         let mut qi = 0;
-        while qi < self.dirty_res.len() {
+        'closure: while !fallback && qi < self.dirty_res.len() {
             let ri = self.dirty_res[qi] as usize;
             qi += 1;
             for k in 0..self.res_flows[ri].len() {
                 let tid = self.res_flows[ri][k];
                 if !self.flow_dirty[tid as usize] {
-                    self.flow_dirty[tid as usize] = true;
-                    self.dirty_flows.push(tid);
+                    self.mark_flow(tid);
+                    if self.dirty_count as f64 > threshold {
+                        fallback = true;
+                        break 'closure;
+                    }
                     for r in &specs[tid as usize].route {
-                        let rr = r.0 as usize;
-                        if !self.res_dirty[rr] {
-                            self.res_dirty[rr] = true;
-                            self.dirty_res.push(rr as u32);
-                        }
+                        self.mark_res(r.0 as usize);
                     }
                 }
             }
         }
 
-        // Dirty flows in active-list order: the demand order a full
-        // solve would present them in.
-        self.sub_idx.clear();
-        for (i, f) in active.iter().enumerate() {
-            if self.flow_dirty[f.tid as usize] {
-                self.sub_idx.push(i as u32);
-            }
-        }
-        let fallback =
-            self.sub_idx.len() as f64 > self.full_fraction * active.len() as f64;
-        self.clear_dirty();
-
         if fallback {
+            self.clear_dirty();
             self.solve_full(active, specs, caps, config, rates);
         } else {
+            // Dirty flows in active-list order: the demand order a full
+            // solve would present them in.
+            self.sub_idx.clear();
+            for (i, f) in active.iter().enumerate() {
+                if self.flow_dirty[f.tid as usize] {
+                    self.sub_idx.push(i as u32);
+                }
+            }
+            debug_assert_eq!(self.sub_idx.len(), self.dirty_count);
+            self.clear_dirty();
             self.incremental_runs += 1;
             if !self.sub_idx.is_empty() {
                 let demands: Vec<FlowDemand> = self
@@ -270,6 +290,7 @@ impl Leveler {
             self.flow_dirty[tid as usize] = false;
         }
         self.dirty_flows.clear();
+        self.dirty_count = 0;
     }
 }
 
@@ -438,5 +459,88 @@ mod tests {
         assert_eq!(active[0].rate, -1.0);
         assert_eq!(lev.incremental_runs, 1);
         assert_eq!(lev.full_runs, 1);
+    }
+
+    /// Drive an Incremental and a Full leveler over the same `active`
+    /// flows through the same script and assert their rates and bindings
+    /// agree to the bit after every re-level. Each step is
+    /// `(joins, leaves)`: the joins are noted first, then the leaves, as
+    /// the engine does when a fault stalls a flow in the instant it
+    /// started.
+    fn assert_matches_full(
+        specs: &[TransferSpec],
+        num_resources: usize,
+        full_fraction: f64,
+        active: &[u32],
+        steps: &[(&[u32], &[u32])],
+    ) -> Leveler {
+        let caps = vec![100.0; num_resources];
+        let mut inc = Leveler::new(
+            num_resources,
+            specs.len(),
+            SolverMode::Incremental { full_fraction },
+        );
+        let mut full = Leveler::new(num_resources, specs.len(), SolverMode::Full);
+        let flows = || active.iter().map(|&t| flow(t)).collect::<Vec<_>>();
+        let (mut inc_active, mut full_active) = (flows(), flows());
+        let mut rates = Vec::new();
+        for (joins, leaves) in steps {
+            for lev in [&mut inc, &mut full] {
+                for &t in *joins {
+                    lev.note_join(t, &specs[t as usize].route);
+                }
+                for &t in *leaves {
+                    lev.note_leave(t, &specs[t as usize].route);
+                }
+            }
+            inc.level(&mut inc_active, specs, &caps, &cfg(), &mut rates);
+            full.level(&mut full_active, specs, &caps, &cfg(), &mut rates);
+            for (a, b) in inc_active.iter().zip(&full_active) {
+                assert_eq!(a.rate.to_bits(), b.rate.to_bits(), "rate of flow {}", a.tid);
+                assert_eq!(inc.binding_of(a.tid), full.binding_of(b.tid));
+            }
+        }
+        inc
+    }
+
+    #[test]
+    fn bounded_closure_stops_past_the_threshold() {
+        // A chain 0-1-2-3-4 over links 0..=3, plus flow 5 on link 0,
+        // which joins and is stalled by a fault in the same instant. Its
+        // leave drops its dirty mark, so the second re-level's closure
+        // starts at zero dirty flows from link 0 and passes the
+        // threshold (0.5 × 5) at its third flow, part-way along the
+        // chain: a full solve, exactly like SolverMode::Full's.
+        let specs = vec![
+            spec(&[0]),
+            spec(&[0, 1]),
+            spec(&[1, 2]),
+            spec(&[2, 3]),
+            spec(&[3]),
+            spec(&[0]),
+        ];
+        let all: &[u32] = &[0, 1, 2, 3, 4];
+        let lev = assert_matches_full(&specs, 4, 0.5, all, &[(all, &[]), (&[5], &[5])]);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (2, 0));
+    }
+
+    #[test]
+    fn join_then_stall_leaves_no_dirty_mark() {
+        // Flows 0,1 share link 0; flows 2,3,4 sit on links 1 and 2. Flow
+        // 5 (link 0) joins and stalls in one instant: the closure is
+        // flows 0 and 1, exactly the threshold 0.4 × 5 = 2, so the
+        // re-level stays incremental. Counting flow 5's mark as well
+        // would have forced a full solve.
+        let specs = vec![
+            spec(&[0]),
+            spec(&[0]),
+            spec(&[1]),
+            spec(&[1, 2]),
+            spec(&[2]),
+            spec(&[0]),
+        ];
+        let all: &[u32] = &[0, 1, 2, 3, 4];
+        let lev = assert_matches_full(&specs, 3, 0.4, all, &[(all, &[]), (&[5], &[5])]);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
     }
 }

@@ -67,7 +67,7 @@ profile:
 # committed baseline — the artifact is pure simulated time, so any diff
 # means the planner or simulator moved. Re-baseline an intentional
 # change with `UPDATE_GOLDEN=1 just exchange`. Coffee-break sized
-# (~40 min single-core; the 512-node slice is separately pinned as
+# (~13 min on a 2-vCPU VM; the 512-node slice is separately pinned as
 # tests/golden/exchange.csv for the quick path).
 exchange:
     cargo run --release -p bgq-bench --bin exchange -- \
@@ -102,6 +102,11 @@ sentinel:
         results/ledger/manifest.json results/BENCH_profile_fig6.json fig6
     cmp results/ledger/manifest.json results/ledger/baseline.json && \
         echo "results/ledger/baseline.json reproduced byte-exact"
+
+# Host-time benchmark: build perfbench and run every workload for 10 s
+# each, printing one table of setup time, run time and peak RSS.
+perf:
+    python3 perfbench/run.py --workload all --seconds 10
 
 # Full figure reproduction into results/ (coffee-break sized).
 reproduce:
