@@ -87,8 +87,7 @@ pub use planner::{
     Decision, DirectReason, PlanOutcome, PlanPolicy, PlanRequest, SparseMover,
 };
 pub use proxy::{
-    displace_group, find_proxies, find_proxies_avoiding, find_proxies_avoiding_with_stats,
-    find_proxies_constrained, find_proxy_groups, find_proxy_groups_global, proxy_groups_along,
-    ProxyGroup, ProxyPath,
+    displace_group, find_proxies, find_proxies_constrained, find_proxy_groups,
+    find_proxy_groups_global, proxy_groups_along, ProxyGroup, ProxyPath,
     ProxySearchConfig, ProxySelection, RejectReason, SearchStats,
 };

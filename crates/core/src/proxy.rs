@@ -196,43 +196,6 @@ pub fn find_proxies(
     forbidden: &HashSet<NodeId>,
     cfg: &ProxySearchConfig,
 ) -> ProxySelection {
-    find_proxies_avoiding(shape, zone, src, dst, forbidden, cfg, &HealthMask::healthy())
-}
-
-/// [`find_proxies`] under a network [`HealthMask`]: candidates on a down
-/// node are skipped, and a path is rejected if either of its segments
-/// crosses a dead link. The dead links are seeded into the same `used` set
-/// that enforces link-disjointness, so the search routes around failures
-/// with no extra passes.
-///
-/// With a healthy mask this is exactly `find_proxies` — the seed set is
-/// empty and no node is skipped.
-pub fn find_proxies_avoiding(
-    shape: &Shape,
-    zone: Zone,
-    src: NodeId,
-    dst: NodeId,
-    forbidden: &HashSet<NodeId>,
-    cfg: &ProxySearchConfig,
-    health: &HealthMask,
-) -> ProxySelection {
-    find_proxies_avoiding_with_stats(shape, zone, src, dst, forbidden, cfg, health).0
-}
-
-/// [`find_proxies_avoiding`] plus the search's decision counters: how
-/// many candidates were routed, accepted, rejected for overlap, or
-/// skipped for dead links / down nodes / forbidden membership. The
-/// selection is identical to the plain search — the stats are a pure
-/// by-product of the same traversal.
-pub fn find_proxies_avoiding_with_stats(
-    shape: &Shape,
-    zone: Zone,
-    src: NodeId,
-    dst: NodeId,
-    forbidden: &HashSet<NodeId>,
-    cfg: &ProxySearchConfig,
-    health: &HealthMask,
-) -> (ProxySelection, SearchStats) {
     find_proxies_constrained(
         shape,
         zone,
@@ -241,20 +204,34 @@ pub fn find_proxies_avoiding_with_stats(
         forbidden,
         &HashSet::new(),
         cfg,
-        health,
+        &HealthMask::healthy(),
     )
+    .0
 }
 
-/// [`find_proxies_avoiding_with_stats`] under an additional set of
-/// *claimed* links: links some other transfer of the same batch already
-/// owns (a neighborhood exchange's link-claim ledger). Claimed links seed
-/// the disjointness set, so every accepted path is link-disjoint not only
-/// from its siblings but from everything the caller claimed — candidates
-/// crossing them are rejected as ordinary overlap ([`RejectReason::LinkInUse`]),
-/// not as dead links, because the hardware is fine, it is merely spoken
-/// for. With an empty `claimed` set this is exactly
-/// [`find_proxies_avoiding_with_stats`].
-#[allow(clippy::too_many_arguments)] // mirrors the unconstrained search plus the ledger
+/// [`find_proxies`] under a network [`HealthMask`] and a set of
+/// *claimed* links, returning the search's decision counters alongside
+/// the selection.
+///
+/// * Health: candidates on a down node are skipped, and a path is
+///   rejected if either of its segments crosses a dead link. The dead
+///   links are seeded into the same `used` set that enforces
+///   link-disjointness, so the search routes around failures with no
+///   extra passes.
+/// * Claims: links some other transfer of the same batch already owns
+///   (a neighborhood exchange's link-claim ledger) also seed the
+///   disjointness set, so every accepted path is link-disjoint not only
+///   from its siblings but from everything the caller claimed —
+///   candidates crossing them are rejected as ordinary overlap
+///   ([`RejectReason::LinkInUse`]), not as dead links, because the
+///   hardware is fine, it is merely spoken for.
+/// * Stats: how many candidates were routed, accepted, rejected for
+///   overlap, or skipped for dead links / down nodes / forbidden
+///   membership — a pure by-product of the same traversal.
+///
+/// With a healthy mask and an empty `claimed` set this is exactly
+/// [`find_proxies`].
+#[allow(clippy::too_many_arguments)] // the plain search plus health and the ledger
 pub fn find_proxies_constrained(
     shape: &Shape,
     zone: Zone,
@@ -542,6 +519,25 @@ mod tests {
         ProxySearchConfig::default()
     }
 
+    /// The Fig. 5 corner-to-corner search on 128 nodes under `forbidden`
+    /// and `health`, with nothing claimed.
+    fn corner_search(
+        forbidden: &HashSet<NodeId>,
+        health: &HealthMask,
+    ) -> (ProxySelection, SearchStats) {
+        let shape = standard_shape(128).unwrap();
+        find_proxies_constrained(
+            &shape,
+            Zone::Z2,
+            NodeId(0),
+            NodeId(127),
+            forbidden,
+            &HashSet::new(),
+            &cfg(),
+            health,
+        )
+    }
+
     /// Paper Fig. 5 setting: first and last node of the 128-node partition.
     #[test]
     fn fig5_setting_finds_four_plus_proxies() {
@@ -735,29 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn healthy_mask_reproduces_the_plain_search() {
-        let shape = standard_shape(128).unwrap();
-        let plain = find_proxies(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-        );
-        let masked = find_proxies_avoiding(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-            &HealthMask::healthy(),
-        );
-        assert_eq!(plain.proxies(), masked.proxies());
-    }
-
-    #[test]
     fn health_aware_search_routes_around_dead_links() {
         let shape = standard_shape(128).unwrap();
         let free = find_proxies(
@@ -772,15 +745,7 @@ mod tests {
         // Kill every link of the first selected path.
         let mut health = HealthMask::healthy();
         health.dead_links.extend(path_links(&free.paths[0]));
-        let sel = find_proxies_avoiding(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-            &health,
-        );
+        let sel = corner_search(&HashSet::new(), &health).0;
         assert!(sel.len() >= 3, "survivors must still form a selection");
         for p in &sel.paths {
             for l in path_links(p) {
@@ -802,22 +767,14 @@ mod tests {
         );
         let mut health = HealthMask::healthy();
         health.down_nodes.extend(free.proxies());
-        let sel = find_proxies_avoiding(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-            &health,
-        );
+        let sel = corner_search(&HashSet::new(), &health).0;
         for p in sel.proxies() {
             assert!(!health.down_nodes.contains(&p), "selected a down node {p}");
         }
     }
 
     #[test]
-    fn stats_search_returns_the_same_selection() {
+    fn stats_count_dead_link_skips() {
         let shape = standard_shape(128).unwrap();
         let mut health = HealthMask::healthy();
         let free = find_proxies(
@@ -829,26 +786,8 @@ mod tests {
             &cfg(),
         );
         health.dead_links.extend(path_links(&free.paths[0]));
-        let plain = find_proxies_avoiding(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-            &health,
-        );
-        let (with_stats, stats) = find_proxies_avoiding_with_stats(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &HashSet::new(),
-            &cfg(),
-            &health,
-        );
-        assert_eq!(plain.proxies(), with_stats.proxies());
-        assert_eq!(stats.accepted as usize, with_stats.len());
+        let (sel, stats) = corner_search(&HashSet::new(), &health);
+        assert_eq!(stats.accepted as usize, sel.len());
         assert!(stats.candidates_tried >= stats.accepted);
         assert!(
             stats.dead_link_skips >= 1,
@@ -921,15 +860,7 @@ mod tests {
         let mut health = HealthMask::healthy();
         health.down_nodes.insert(free.proxies()[0]);
         let forbidden: HashSet<NodeId> = free.proxies()[1..2].iter().copied().collect();
-        let (_, stats) = find_proxies_avoiding_with_stats(
-            &shape,
-            Zone::Z2,
-            NodeId(0),
-            NodeId(127),
-            &forbidden,
-            &cfg(),
-            &health,
-        );
+        let (_, stats) = corner_search(&forbidden, &health);
         assert!(stats.down_node_skips >= 1, "{stats:?}");
         assert!(stats.forbidden_skips >= 1, "{stats:?}");
     }

@@ -19,6 +19,12 @@
 //! optional observer, solver mode); rate recomputation is incremental by
 //! default ([`SolverMode::Incremental`]) and bit-identical to a full
 //! re-level at every event — see the [`leveling`](self) submodule.
+//!
+//! Every run takes one path: validate, partition the graph into
+//! contention shards (the [`shard`](self) submodule; a graph that is one
+//! component is one shard borrowing the caller's specs and capacities),
+//! run one event loop per shard, and merge the shards back in canonical
+//! order into the report, observer and profile.
 
 mod faults;
 mod flow_state;
@@ -28,7 +34,7 @@ mod shard;
 
 use crate::config::SimConfig;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::graph::{TransferGraph, TransferId, TransferSpec};
+use crate::graph::{TransferGraph, TransferId};
 use crate::obs::{FaultReLevel, HeatmapSample, ShardMerge, SimObserver};
 use crate::profile::{ProfileState, SimProfile};
 use faults::FaultState;
@@ -36,7 +42,7 @@ use flow_state::FlowSet;
 use leveling::Leveler;
 use queue::{Event, EventQueue};
 pub use shard::execute as execute_indexed;
-use shard::{execute, partition, PartitionOutcome};
+use shard::{execute, partition, ShardPlan};
 
 /// Bytes below which a flow is considered complete (absorbs float error).
 const BYTE_EPS: f64 = 1e-3;
@@ -344,6 +350,12 @@ impl Simulator {
                 s.src < self.num_nodes && s.dst < self.num_nodes,
                 "transfer {i} references node outside the network"
             );
+            assert!(
+                s.route
+                    .iter()
+                    .all(|r| (r.0 as usize) < self.capacities.len()),
+                "transfer {i} route references resource outside the capacity table"
+            );
         }
         for ev in fault_events {
             match ev.kind {
@@ -358,147 +370,62 @@ impl Simulator {
             }
         }
 
-        match partition(specs, fault_events, &self.capacities, self.num_nodes) {
-            PartitionOutcome::Single { faults: filtered } => {
-                // One contention component: run the original universe
-                // directly (the remap would be the identity) under the
-                // filtered fault schedule.
-                let input = ComponentInput {
-                    specs,
-                    caps: &self.capacities,
-                    num_nodes: self.num_nodes,
-                    config: &self.config,
-                    faults: &filtered,
-                    solver,
-                    profile,
-                };
-                let run = run_component(&input, obs.as_deref_mut());
-                if let Some(o) = obs.as_deref_mut() {
-                    o.shards += 1;
-                    o.shard_merges.push(ShardMerge {
-                        shard: 0,
-                        transfers: n as u32,
-                        end_time: run.end_time,
-                    });
-                }
-                self.finish_report(
-                    graph,
-                    run.delivery_time,
-                    run.flow_start_time,
-                    run.stall_time,
-                    run.end_time,
-                    run.resource_bytes,
-                    run.pstate,
-                    1,
-                    obs,
-                )
-            }
-            PartitionOutcome::Sharded(plans) => {
-                let observing = obs.is_some();
-                let runs = execute(plans.len(), threads, |k| {
-                    let plan = &plans[k];
-                    let mut local = if observing {
-                        Some(SimObserver::new())
-                    } else {
-                        None
-                    };
-                    let input = ComponentInput {
-                        specs: plan.graph.specs(),
-                        caps: &plan.caps,
-                        num_nodes: plan.nodes.len() as u32,
-                        config: &self.config,
-                        faults: &plan.faults,
-                        solver,
-                        profile,
-                    };
-                    let run = run_component(&input, local.as_mut());
-                    (run, local)
-                });
+        let plans = partition(specs, fault_events, &self.capacities, self.num_nodes);
+        let observing = obs.is_some();
+        let runs = execute(plans.len(), threads, |k| {
+            let mut local = observing.then(SimObserver::new);
+            let run = run_component(&plans[k], &self.config, solver, profile, local.as_mut());
+            (run, local)
+        });
 
-                // Merge in canonical shard order (ascending minimum
-                // transfer id): scatter per-transfer records back to
-                // global indices, close stall books at the global drain,
-                // and fold shard observers/profiles with ids remapped.
-                let global_end = runs.iter().map(|(r, _)| r.end_time).fold(0.0, f64::max);
-                let mut delivery_time = vec![f64::INFINITY; n];
-                let mut flow_start_time = vec![f64::INFINITY; n];
-                let mut stall_time = vec![0.0f64; n];
-                let mut resource_bytes = self
-                    .config
-                    .collect_link_stats
-                    .then(|| vec![0.0f64; self.capacities.len()]);
-                let mut gstate = profile.then(|| ProfileState::new(n));
-                let shards = plans.len() as u32;
-                let mark = obs.as_deref().map(|o| o.mark());
-                for (k, (plan, (run, local))) in plans.iter().zip(runs).enumerate() {
-                    for (li, &t) in plan.tids.iter().enumerate() {
-                        delivery_time[t as usize] = run.delivery_time[li];
-                        flow_start_time[t as usize] = run.flow_start_time[li];
-                        stall_time[t as usize] = run.stall_time[li];
-                    }
-                    // A flow still stalled when its shard drained keeps
-                    // accruing until the *global* drain, exactly as it
-                    // did when every component shared one event loop.
-                    for &lt in &run.stalled_at_drain {
-                        stall_time[plan.tids[lt as usize] as usize] += global_end - run.end_time;
-                    }
-                    if let (Some(grb), Some(lrb)) =
-                        (resource_bytes.as_mut(), run.resource_bytes.as_ref())
-                    {
-                        for (li, &r) in plan.resources.iter().enumerate() {
-                            grb[r as usize] = lrb[li];
-                        }
-                    }
-                    if let (Some(g), Some(p)) = (gstate.as_mut(), run.pstate) {
-                        g.absorb(p, &plan.tids, &plan.resources);
-                    }
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.shards += 1;
-                        o.shard_merges.push(ShardMerge {
-                            shard: k as u32,
-                            transfers: plan.tids.len() as u32,
-                            end_time: run.end_time,
-                        });
-                        if let Some(local) = local {
-                            o.absorb_shard(local, &plan.tids, &plan.resources);
-                        }
-                    }
+        // Merge in canonical shard order (ascending minimum transfer
+        // id): scatter per-transfer records back to global indices,
+        // close stall books at the global drain, and fold shard
+        // observers/profiles with ids remapped.
+        let end_time = runs.iter().map(|(r, _)| r.end_time).fold(0.0, f64::max);
+        let mut delivery_time = vec![f64::INFINITY; n];
+        let mut flow_start_time = vec![f64::INFINITY; n];
+        let mut stall_time = vec![0.0f64; n];
+        let mut resource_bytes = self
+            .config
+            .collect_link_stats
+            .then(|| vec![0.0f64; self.capacities.len()]);
+        let mut pstate = profile.then(|| ProfileState::new(n));
+        let shards = plans.len() as u32;
+        let mark = obs.as_deref().map(|o| o.mark());
+        for (k, (plan, (run, local))) in plans.iter().zip(runs).enumerate() {
+            for (li, &t) in plan.tids.iter().enumerate() {
+                delivery_time[t as usize] = run.delivery_time[li];
+                flow_start_time[t as usize] = run.flow_start_time[li];
+                stall_time[t as usize] = run.stall_time[li];
+            }
+            // A flow still stalled when its shard drained keeps accruing
+            // until the *global* drain, exactly as it would in one event
+            // loop over every component.
+            for &lt in &run.stalled_at_drain {
+                stall_time[plan.tids[lt as usize] as usize] += end_time - run.end_time;
+            }
+            if let (Some(grb), Some(lrb)) = (resource_bytes.as_mut(), run.resource_bytes.as_ref()) {
+                for (li, &r) in plan.resources.iter().enumerate() {
+                    grb[r as usize] = lrb[li];
                 }
-                if let (Some(o), Some(mark)) = (obs.as_deref_mut(), mark) {
-                    o.seal_merge(mark);
+            }
+            if let (Some(g), Some(p)) = (pstate.as_mut(), run.pstate) {
+                g.absorb(p, &plan.tids, &plan.resources);
+            }
+            if let Some(o) = obs.as_deref_mut() {
+                o.shards += 1;
+                o.shard_merges.push(ShardMerge {
+                    shard: k as u32,
+                    transfers: plan.tids.len() as u32,
+                    end_time: run.end_time,
+                });
+                if let Some(local) = local {
+                    o.absorb_shard(local, &plan.tids, &plan.resources);
                 }
-                self.finish_report(
-                    graph,
-                    delivery_time,
-                    flow_start_time,
-                    stall_time,
-                    global_end,
-                    resource_bytes,
-                    gstate,
-                    shards,
-                    obs,
-                )
             }
         }
-    }
 
-    /// Common tail of both execution paths: derive statuses, fold the
-    /// undelivered count into the observer, decode the profile, and
-    /// assemble the report.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_report(
-        &self,
-        graph: &TransferGraph,
-        delivery_time: Vec<f64>,
-        flow_start_time: Vec<f64>,
-        stall_time: Vec<f64>,
-        end_time: f64,
-        resource_bytes: Option<Vec<f64>>,
-        pstate: Option<ProfileState>,
-        shards: u32,
-        obs: Option<&mut SimObserver>,
-    ) -> SimReport {
-        let n = graph.len();
         let status: Vec<TransferStatus> = (0..n)
             .map(|i| {
                 if delivery_time[i].is_finite() {
@@ -510,7 +437,8 @@ impl Simulator {
                 }
             })
             .collect();
-        if let Some(o) = obs {
+        if let (Some(o), Some(mark)) = (obs, mark) {
+            o.seal_merge(mark);
             o.transfers_undelivered += status
                 .iter()
                 .filter(|&&s| s != TransferStatus::Delivered)
@@ -533,18 +461,6 @@ impl Simulator {
     }
 }
 
-/// Everything one contention component's event loop needs, with ids in
-/// the component's own (possibly remapped) universe.
-struct ComponentInput<'a> {
-    specs: &'a [TransferSpec],
-    caps: &'a [f64],
-    num_nodes: u32,
-    config: &'a SimConfig,
-    faults: &'a [FaultEvent],
-    solver: SolverMode,
-    profile: bool,
-}
-
 /// One component's raw results, in local ids, books closed at the
 /// component's own drain time. The merge layer scatters these back to
 /// global indices and extends still-stalled flows to the global drain.
@@ -559,21 +475,20 @@ struct ComponentRun {
     pstate: Option<ProfileState>,
 }
 
-/// The discrete-event loop over one contention component (the whole
-/// graph when it forms a single component). Sharding changes *which*
+/// The discrete-event loop over one contention shard (the whole graph
+/// when it forms a single component). Sharding changes *which*
 /// transfers share a loop, never the arithmetic inside one — this body
 /// performs the same float operations per component at every thread
 /// count, which is where the engine's bit-determinism comes from.
-fn run_component(input: &ComponentInput<'_>, mut obs: Option<&mut SimObserver>) -> ComponentRun {
-    let ComponentInput {
-        specs,
-        caps,
-        num_nodes,
-        config,
-        faults: fault_events,
-        solver,
-        profile,
-    } = *input;
+fn run_component(
+    plan: &ShardPlan<'_>,
+    config: &SimConfig,
+    solver: SolverMode,
+    profile: bool,
+    mut obs: Option<&mut SimObserver>,
+) -> ComponentRun {
+    let (specs, caps, num_nodes) = (&*plan.specs, &*plan.caps, plan.num_nodes);
+    let fault_events = &plan.faults;
     let n = specs.len();
     let have_faults = !fault_events.is_empty();
 
@@ -1122,9 +1037,13 @@ mod tests {
     #[test]
     fn empty_graph_runs() {
         let s = sim(1, vec![]);
-        let rep = run(&s, &TransferGraph::new());
+        let mut o = SimObserver::new();
+        let rep = s.simulate(&TransferGraph::new(), SimOptions::new().observer(&mut o));
         assert_eq!(rep.makespan, 0.0);
         assert_eq!(rep.total_bytes, 0);
+        // An empty graph still runs as one (empty) shard.
+        assert_eq!(o.shards, 1);
+        assert_eq!(o.shard_merges[0].transfers, 0);
     }
 
     #[test]
@@ -1422,6 +1341,45 @@ mod tests {
         assert_eq!(obs.transfers_undelivered, 2); // one stalled, one never started
         assert_eq!(obs.stalls.len(), 1);
         assert!(obs.resumes.is_empty());
+    }
+
+    #[test]
+    fn faults_touching_no_transfer_are_filtered_from_a_single_shard() {
+        // One component (shared source node 0). Link 2 and node 3 are
+        // used by no transfer, so their faults must not reach the event
+        // loop: no fault epoch may chop the run's rate epochs.
+        let s = sim(4, vec![100.0; 3]);
+        let mut g = TransferGraph::new();
+        g.add(TransferSpec::new(0, 1, 1000, vec![ResourceId(0)]));
+        g.add(TransferSpec::new(0, 2, 1500, vec![ResourceId(0), ResourceId(1)]));
+        let plan = FaultPlan::new()
+            .degrade_link(2.5, ResourceId(2), 0.5)
+            .fail_node(3.5, 3)
+            .restore_node(4.5, 3);
+        let plain = run(&s, &g);
+        let mut o = SimObserver::new();
+        let faulted = s.simulate(&g, SimOptions::new().faults(&plan).observer(&mut o));
+        let bits = |r: &SimReport| -> Vec<u64> {
+            r.delivery_time
+                .iter()
+                .chain(&r.flow_start_time)
+                .chain(&r.stall_time)
+                .chain(&[r.makespan, r.end_time])
+                .map(|f| f.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&plain), bits(&faulted));
+        assert_eq!(o.shards, 1);
+        assert_eq!(o.fault_events, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "route references resource outside")]
+    fn route_outside_capacity_table_panics() {
+        let s = sim(2, vec![100.0]);
+        let mut g = TransferGraph::new();
+        g.add(TransferSpec::new(0, 1, 100, vec![ResourceId(3)]));
+        run(&s, &g);
     }
 
     #[test]

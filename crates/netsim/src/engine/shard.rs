@@ -12,9 +12,11 @@
 //! Union-find over those three relations yields connected components
 //! whose event sequences are provably independent: no event in one
 //! component can change a float in another. Each component becomes a
-//! *shard* — a self-contained sub-problem with transfers, resources and
-//! nodes remapped to dense local ids — and the engine runs one event
-//! loop per shard, inline or on a worker pool ([`execute`]).
+//! *shard* ([`ShardPlan`]) — a self-contained sub-problem with
+//! transfers, resources and nodes remapped to dense local ids — and the
+//! engine runs one event loop per shard, inline or on a worker pool
+//! ([`execute`]). A graph that is one component is one shard with
+//! identity id maps that borrows the caller's specs and capacity table.
 //!
 //! Determinism: shards are ordered by their minimum global transfer id
 //! (the *canonical shard order*), local ids are assigned in ascending
@@ -28,8 +30,10 @@
 //! replicate to every shard where the node is an endpoint. Faults that
 //! touch no shard are dropped — they could not have moved any flow.
 
+use std::borrow::Cow;
+
 use crate::fault::{FaultEvent, FaultKind};
-use crate::graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
+use crate::graph::{ResourceId, TransferId, TransferSpec};
 
 const NONE: u32 = u32::MAX;
 
@@ -65,29 +69,22 @@ impl Dsu {
     }
 }
 
-/// One contention component, remapped to a dense local universe.
-pub(crate) struct ShardPlan {
+/// One contention component: the whole input of its event loop, in the
+/// shard's own dense id universe.
+pub(crate) struct ShardPlan<'g> {
     /// Global transfer ids, ascending — local tid `i` is `tids[i]`.
     pub tids: Vec<u32>,
-    /// Global resource ids used by the shard, ascending.
+    /// Global resource ids, ascending — local resource `r` is
+    /// `resources[r]`.
     pub resources: Vec<u32>,
-    /// Global node ids referenced by the shard, ascending.
-    pub nodes: Vec<u32>,
-    /// The shard's transfer graph in local ids.
-    pub graph: TransferGraph,
-    /// Local capacity table (gathered from the global one).
-    pub caps: Vec<f64>,
+    /// Nodes in the shard's universe.
+    pub num_nodes: u32,
+    /// The shard's transfer specs in local ids.
+    pub specs: Cow<'g, [TransferSpec]>,
+    /// Local capacity table.
+    pub caps: Cow<'g, [f64]>,
     /// Fault events routed to this shard, in plan order, local ids.
     pub faults: Vec<FaultEvent>,
-}
-
-/// How `simulate` should execute a partitioned graph.
-pub(crate) enum PartitionOutcome {
-    /// The whole graph is one contention component: run the original
-    /// universe directly (zero remap cost) under the filtered faults.
-    Single { faults: Vec<FaultEvent> },
-    /// Several components: run each shard's local universe.
-    Sharded(Vec<ShardPlan>),
 }
 
 /// Group transfers into contention components (union by shared route
@@ -133,15 +130,16 @@ fn components(specs: &[TransferSpec], num_resources: usize, num_nodes: u32) -> V
     comps
 }
 
-/// Partition `specs` into shards (or detect the single-component fast
-/// path). Fault events are filtered to what each shard can observe;
-/// events touching no shard are dropped.
-pub(crate) fn partition(
-    specs: &[TransferSpec],
+/// Partition `specs` into shard plans in canonical order. Fault events
+/// are filtered to what each shard can observe; events touching no
+/// shard are dropped. One component (or none) yields one identity plan
+/// that borrows `specs` and `caps` instead of copying them.
+pub(crate) fn partition<'g>(
+    specs: &'g [TransferSpec],
     fault_events: &[FaultEvent],
-    caps: &[f64],
+    caps: &'g [f64],
     num_nodes: u32,
-) -> PartitionOutcome {
+) -> Vec<ShardPlan<'g>> {
     let num_resources = caps.len();
     let comps = components(specs, num_resources, num_nodes);
 
@@ -166,27 +164,41 @@ pub(crate) fn partition(
             })
             .copied()
             .collect();
-        return PartitionOutcome::Single { faults };
+        return vec![ShardPlan {
+            tids: (0..specs.len() as u32).collect(),
+            resources: (0..num_resources as u32).collect(),
+            num_nodes,
+            specs: Cow::Borrowed(specs),
+            caps: Cow::Borrowed(caps),
+            faults,
+        }];
     }
 
     // Local-id assignment. Resources belong to exactly one shard (a
     // shared resource would have unioned the sharers); nodes can appear
     // in several shards (as a destination), so they carry a per-shard
-    // membership list instead of a single owner.
+    // membership list instead of a single owner. Dependencies never
+    // cross shards, so each shard's local specs can be built as soon as
+    // its own transfers are numbered. Remaps are monotonic (sorted
+    // ascending), so every id comparison downstream orders local ids
+    // exactly like the global ids they stand for.
     let mut res_local = vec![NONE; num_resources];
+    let mut res_shard = vec![NONE; num_resources];
+    let mut tid_local = vec![NONE; specs.len()];
     let mut node_shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_nodes as usize];
-    let mut plans: Vec<ShardPlan> = Vec::with_capacity(comps.len());
+    let mut plans: Vec<ShardPlan<'g>> = Vec::with_capacity(comps.len());
 
-    for (k, tids) in comps.iter().enumerate() {
+    for (k, tids) in comps.into_iter().enumerate() {
         let mut resources: Vec<u32> = Vec::new();
         let mut nodes: Vec<u32> = Vec::new();
-        for &t in tids {
+        for (li, &t) in tids.iter().enumerate() {
             let s = &specs[t as usize];
             for r in &s.route {
                 resources.push(r.0);
             }
             nodes.push(s.src);
             nodes.push(s.dst);
+            tid_local[t as usize] = li as u32;
         }
         resources.sort_unstable();
         resources.dedup();
@@ -194,62 +206,47 @@ pub(crate) fn partition(
         nodes.dedup();
         for (li, &r) in resources.iter().enumerate() {
             res_local[r as usize] = li as u32;
+            res_shard[r as usize] = k as u32;
         }
         for (li, &nd) in nodes.iter().enumerate() {
             node_shards[nd as usize].push((k as u32, li as u32));
         }
+        let local_node = |nd: u32| nodes.binary_search(&nd).expect("node in shard") as u32;
+        let local_specs = tids
+            .iter()
+            .map(|&t| {
+                let s = &specs[t as usize];
+                let mut spec = s.clone();
+                spec.src = local_node(s.src);
+                spec.dst = local_node(s.dst);
+                spec.route = s
+                    .route
+                    .iter()
+                    .map(|r| ResourceId(res_local[r.0 as usize]))
+                    .collect();
+                spec.deps = s
+                    .deps
+                    .iter()
+                    .map(|d| TransferId(tid_local[d.index()]))
+                    .collect();
+                spec
+            })
+            .collect();
         let local_caps = resources.iter().map(|&r| caps[r as usize]).collect();
         plans.push(ShardPlan {
-            tids: tids.clone(),
+            tids,
             resources,
-            nodes,
-            graph: TransferGraph::new(),
-            caps: local_caps,
+            num_nodes: nodes.len() as u32,
+            specs: Cow::Owned(local_specs),
+            caps: Cow::Owned(local_caps),
             faults: Vec::new(),
         });
-    }
-
-    // Global tid -> local tid (each transfer is in exactly one shard).
-    let mut tid_local = vec![NONE; specs.len()];
-    for plan in &plans {
-        for (li, &t) in plan.tids.iter().enumerate() {
-            tid_local[t as usize] = li as u32;
-        }
-    }
-
-    // Build each shard's local graph. Remaps are monotonic (sorted
-    // ascending), so every id comparison downstream orders local ids
-    // exactly like the global ids they stand for.
-    for plan in &mut plans {
-        let mut g = TransferGraph::new();
-        for &t in &plan.tids {
-            let s = &specs[t as usize];
-            let local_node =
-                |nd: u32| plan.nodes.binary_search(&nd).expect("node in shard") as u32;
-            let mut spec = s.clone();
-            spec.src = local_node(s.src);
-            spec.dst = local_node(s.dst);
-            spec.route = s.route.iter().map(|r| ResourceId(res_local[r.0 as usize])).collect();
-            spec.deps = s
-                .deps
-                .iter()
-                .map(|d| TransferId(tid_local[d.index()]))
-                .collect();
-            g.add(spec);
-        }
-        plan.graph = g;
     }
 
     // Route fault events: link faults to the owning shard (a shared
     // resource would have unioned its users, so ownership is unique),
     // node faults to every shard the node appears in; plan order is
     // preserved per shard.
-    let mut res_shard = vec![NONE; num_resources];
-    for (k, plan) in plans.iter().enumerate() {
-        for &r in &plan.resources {
-            res_shard[r as usize] = k as u32;
-        }
-    }
     for ev in fault_events {
         match ev.kind {
             FaultKind::LinkFactor { resource, factor } => {
@@ -283,7 +280,7 @@ pub(crate) fn partition(
         }
     }
 
-    PartitionOutcome::Sharded(plans)
+    plans
 }
 
 /// Run `f(i)` for every index `i < count`, inline when `threads <= 1`,
@@ -369,17 +366,14 @@ mod tests {
             .degrade_link(1.0, ResourceId(9), 0.5)
             .fail_node(2.0, 3)
             .fail_link(3.0, ResourceId(7)); // unused: dropped
-        let out = partition(&specs, plan.events(), &[1.0; 10], 4);
-        let plans = match out {
-            PartitionOutcome::Sharded(p) => p,
-            PartitionOutcome::Single { .. } => panic!("expected two shards"),
-        };
+        let plans = partition(&specs, plan.events(), &[1.0; 10], 4);
         assert_eq!(plans.len(), 2);
         assert_eq!(plans[0].resources, vec![4]);
         assert_eq!(plans[1].resources, vec![9]);
-        assert_eq!(plans[1].nodes, vec![2, 3]);
+        assert_eq!(plans[1].num_nodes, 2);
+        assert!(matches!(plans[1].specs, Cow::Owned(_)));
         // Local spec of shard 1 references local ids.
-        let s = &plans[1].graph.specs()[0];
+        let s = &plans[1].specs[0];
         assert_eq!((s.src, s.dst), (0, 1));
         assert_eq!(s.route, vec![ResourceId(0)]);
         // The degrade routed to shard 1 with a local resource id; the
@@ -398,23 +392,29 @@ mod tests {
     }
 
     #[test]
-    fn single_component_filters_but_keeps_global_ids() {
+    fn single_component_borrows_and_keeps_global_ids() {
         let specs = vec![spec(0, 1, &[5]), spec(0, 2, &[6])];
+        let caps = [1.0; 8];
         let plan = FaultPlan::new()
             .fail_link(1.0, ResourceId(5))
             .fail_link(2.0, ResourceId(3)); // unused: dropped
-        let out = partition(&specs, plan.events(), &[1.0; 8], 4);
-        match out {
-            PartitionOutcome::Single { faults } => {
-                assert_eq!(faults.len(), 1);
-                match faults[0].kind {
-                    FaultKind::LinkFactor { resource, .. } => {
-                        assert_eq!(resource, ResourceId(5), "ids stay global");
-                    }
-                    _ => panic!("wrong kind"),
-                }
+        let plans = partition(&specs, plan.events(), &caps, 4);
+        assert_eq!(plans.len(), 1, "shared source: one component");
+        let p = &plans[0];
+        assert!(matches!(p.specs, Cow::Borrowed(_)), "specs are not copied");
+        assert!(
+            matches!(p.caps, Cow::Borrowed(_)),
+            "capacities are not copied"
+        );
+        assert_eq!(p.tids, vec![0, 1]);
+        assert_eq!(p.resources, (0..8).collect::<Vec<u32>>());
+        assert_eq!(p.num_nodes, 4);
+        assert_eq!(p.faults.len(), 1);
+        match p.faults[0].kind {
+            FaultKind::LinkFactor { resource, .. } => {
+                assert_eq!(resource, ResourceId(5), "ids stay global");
             }
-            PartitionOutcome::Sharded(_) => panic!("shared source: one component"),
+            _ => panic!("wrong kind"),
         }
     }
 

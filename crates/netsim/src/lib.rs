@@ -45,7 +45,6 @@ pub use graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
 pub use obs::{FaultReLevel, HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};
 pub use profile::{Binding, SimProfile, TransferTimeProfile};
 pub use stats::{
-    active_fraction, activity_timeline, node_traffic, stragglers, try_active_fraction,
-    try_utilization, utilization, windowed_throughput, StatsError, Utilization,
+    active_fraction, try_active_fraction, try_utilization, utilization, StatsError, Utilization,
 };
 pub use waterfill::{FlowDemand, Waterfill};

@@ -24,8 +24,7 @@
 //! * per-flow, the categories sum to `delivery − ready` (run end for
 //!   undelivered flows) within float-accumulation noise;
 //! * `network_limited` **is** the sum of the per-link blame — exact by
-//!   construction — and the run-level per-link rollup redistributes the
-//!   same seconds;
+//!   construction;
 //! * profiles are bit-identical between [`crate::SolverMode::Full`] and
 //!   [`crate::SolverMode::Incremental`], and a profiled run's
 //!   [`crate::SimReport`] is bit-identical to an unprofiled one.
@@ -106,14 +105,6 @@ impl TransferTimeProfile {
             + self.delivery_latency
             + self.network_limited()
     }
-
-    /// The link this flow spent the most time bound by, if any.
-    pub fn dominant_link(&self) -> Option<(ResourceId, f64)> {
-        self.bottlenecked_on
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-    }
 }
 
 /// Per-run bottleneck attribution: one [`TransferTimeProfile`] per
@@ -129,36 +120,6 @@ pub struct SimProfile {
     /// single component). Profiles are bit-identical at every thread
     /// count, so this records graph structure, not scheduling.
     pub shards: u32,
-}
-
-impl SimProfile {
-    /// Run-level per-link blame rollup, sorted by resource id: the same
-    /// seconds as every flow's `bottlenecked_on`, regrouped by link.
-    pub fn link_blame(&self) -> Vec<(ResourceId, f64)> {
-        let mut acc: std::collections::BTreeMap<ResourceId, f64> = std::collections::BTreeMap::new();
-        for tp in &self.transfers {
-            for &(r, s) in &tp.bottlenecked_on {
-                *acc.entry(r).or_insert(0.0) += s;
-            }
-        }
-        acc.into_iter().collect()
-    }
-
-    /// Total network-limited seconds across all transfers.
-    pub fn total_network_limited(&self) -> f64 {
-        self.transfers
-            .iter()
-            .fold(0.0, |a, t| a + t.network_limited())
-    }
-
-    /// The `k` links carrying the most blame, descending (ties broken
-    /// by ascending resource id).
-    pub fn top_bottlenecks(&self, k: usize) -> Vec<(ResourceId, f64)> {
-        let mut blame = self.link_blame();
-        blame.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        blame.truncate(k);
-        blame
-    }
 }
 
 /// Engine-side accumulator, allocated only when profiling is requested.
@@ -220,7 +181,7 @@ impl ProfileState {
     /// codes through `resources` ([`CAP_BINDING`] passes through). Both
     /// maps are sorted ascending, so per-transfer blame and timeline
     /// orderings survive the remap unchanged.
-    pub fn absorb(&mut self, other: ProfileState, tids: &[u32], resources: &[u32]) {
+    pub fn absorb(&mut self, mut other: ProfileState, tids: &[u32], resources: &[u32]) {
         let code = |c: u32| {
             if c == CAP_BINDING {
                 CAP_BINDING
@@ -232,10 +193,14 @@ impl ProfileState {
             let gi = t as usize;
             self.ready[gi] = other.ready[li];
             self.drained[gi] = other.drained[li];
-            self.blame[gi] = other.blame[li].iter().map(|&(c, s)| (code(c), s)).collect();
-            self.timeline[gi] = other.timeline[li]
-                .iter()
-                .map(|&(time, c)| (time, code(c)))
+            // Moved, not copied: the remap reuses each row's allocation.
+            self.blame[gi] = std::mem::take(&mut other.blame[li])
+                .into_iter()
+                .map(|(c, s)| (code(c), s))
+                .collect();
+            self.timeline[gi] = std::mem::take(&mut other.timeline[li])
+                .into_iter()
+                .map(|(time, c)| (time, code(c)))
                 .collect();
         }
     }
@@ -319,22 +284,6 @@ mod tests {
         let t = tp(&[(0, 2.0), (3, 4.0)], 0.25);
         assert!((t.network_limited() - 6.0).abs() < 1e-12);
         assert!((t.accounted() - (1.0 + 0.25 + 0.5 + 6.0)).abs() < 1e-12);
-        assert_eq!(t.dominant_link(), Some((ResourceId(3), 4.0)));
-    }
-
-    #[test]
-    fn link_blame_rolls_up_across_transfers() {
-        let p = SimProfile {
-            transfers: vec![tp(&[(0, 2.0), (1, 1.0)], 0.0), tp(&[(1, 3.0)], 0.0)],
-            end_time: 10.0,
-            shards: 1,
-        };
-        assert_eq!(
-            p.link_blame(),
-            vec![(ResourceId(0), 2.0), (ResourceId(1), 4.0)]
-        );
-        assert!((p.total_network_limited() - 6.0).abs() < 1e-12);
-        assert_eq!(p.top_bottlenecks(1), vec![(ResourceId(1), 4.0)]);
     }
 
     #[test]
