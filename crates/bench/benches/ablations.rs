@@ -3,11 +3,11 @@
 //! assignment policy, and routing zone. Each bench runs the full plan +
 //! simulation so the cost of richer plans (more transfers, more events)
 //! is visible; the *simulated* outcomes of the same ablations are printed
-//! by the `fig7`/`fig10` binaries and the `ablation_policy_point` helper.
+//! by the `fig7`/`fig10` binaries and the `ablation_policy_point_with` helper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bgq_bench::{ablation_policy_point, Pattern};
+use bgq_bench::{ablation_policy_point_with, Pattern, PlanCache};
 use bgq_comm::{Machine, Program};
 use bgq_netsim::SimConfig;
 use bgq_torus::{standard_shape, NodeId, Zone};
@@ -101,7 +101,7 @@ fn ablation_assignment_policy(c: &mut Criterion) {
     let mut g = c.benchmark_group("aggregation_policy");
     g.sample_size(10);
     g.bench_function("balanced_vs_local_2048_cores", |b| {
-        b.iter(|| ablation_policy_point(2048, Pattern::Pareto, 7))
+        b.iter(|| ablation_policy_point_with(&PlanCache::new(), 2048, Pattern::Pareto, 7))
     });
     g.finish();
 }

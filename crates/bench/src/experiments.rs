@@ -1018,7 +1018,8 @@ mod tests {
         let sizes = vec![64 << 10, 128 << 20];
         let session = ExperimentSession::new(1);
         let run = session.run(&Fig5 { sizes: sizes.clone() });
-        let sweep = crate::micro::fig5_sweep(&sizes);
+        let cache = PlanCache::new();
+        let sweep: Vec<_> = sizes.iter().map(|&b| fig5_point(&cache, b)).collect();
         assert_eq!(run.rows.len(), 2);
         assert_eq!(run.rows[0].metrics[1], sweep[0].direct);
         assert_eq!(run.rows[1].metrics[2], sweep[1].multipath);

@@ -41,13 +41,11 @@ pub use exchange::{
     AlgoResult, ExchangePattern, ExchangePoint, ExchangeSweep, EXCHANGE_SEED,
 };
 pub use io::{
-    ablation_policy_point, ablation_policy_point_with, fig10_point, fig10_point_with,
-    fig10_scales, fig11_point, fig11_point_with, fig11_scales, policy_point_with, run_io_point,
-    run_io_point_with, sim_chunk_bytes, IoPoint, Pattern,
+    ablation_policy_point_with, fig10_point_with, fig10_scales, fig11_point_with, fig11_scales,
+    policy_point_with, run_io_point_with, sim_chunk_bytes, IoPoint, Pattern,
 };
 pub use micro::{
-    corner_groups, crossover, fig5_point, fig5_sweep, fig6_point, fig6_sweep, fig7_point,
-    fig7_series_labels, fig7_sweep, SweepPoint,
+    corner_groups, crossover, fig5_point, fig6_point, fig7_point, fig7_series_labels, SweepPoint,
 };
 pub use obs::{emit_artifacts, trace_for, trace_scenario, write_artifact};
 pub use profile::{
@@ -58,7 +56,7 @@ pub use resilience::{
     default_scenarios, fault_plan_for, resilience_point, Resilience, ResiliencePoint, Scenario,
 };
 pub use runner::{CacheStats, Experiment, ExperimentRun, ExperimentSession, PlanCache, Row};
-pub use scale::{scale_json, scale_point, scale_point_with, scale_sizes, ScalePoint, SolverSide};
+pub use scale::{scale_json, scale_point_with, scale_sizes, ScalePoint, SolverSide};
 pub use sentinel::{history_line, ledger_scenario, manifest_for, run_ledger, LedgerOptions};
 pub use table::{fmt_bytes, fmt_gbs, paper_size_sweep, Table};
 

@@ -2,9 +2,7 @@
 //!
 //! Each figure has a cache-aware per-point function (`fig5_point`,
 //! `fig6_point`, `fig7_point`) — the unit of parallel work for the
-//! [`Experiment`](crate::runner::Experiment) harnesses — plus the
-//! original whole-sweep entry point, kept as a sequential wrapper over a
-//! private [`PlanCache`].
+//! [`Experiment`](crate::runner::Experiment) harnesses.
 
 use crate::runner::PlanCache;
 use bgq_comm::{Machine, Program};
@@ -73,12 +71,6 @@ pub fn fig5_point(cache: &PlanCache, bytes: u64) -> SweepPoint {
         direct,
         multipath,
     }
-}
-
-/// Figure 5 over a whole size sweep (sequential; see [`fig5_point`]).
-pub fn fig5_sweep(sizes: &[u64]) -> Vec<SweepPoint> {
-    let cache = PlanCache::new();
-    sizes.iter().map(|&b| fig5_point(&cache, b)).collect()
 }
 
 /// The two corner groups of Figures 6 and 7: the first and last
@@ -158,12 +150,6 @@ pub fn fig6_point(cache: &PlanCache, bytes: u64) -> SweepPoint {
     }
 }
 
-/// Figure 6 over a whole size sweep (sequential; see [`fig6_point`]).
-pub fn fig6_sweep(sizes: &[u64]) -> Vec<SweepPoint> {
-    let cache = PlanCache::new();
-    sizes.iter().map(|&b| fig6_point(&cache, b)).collect()
-}
-
 fn group_sweep(
     machine: &Machine,
     sources: &[NodeId],
@@ -198,41 +184,6 @@ fn group_sweep(
             }
         })
         .collect()
-}
-
-/// One Figure-7 series: a proxy-group count and its per-pair throughputs.
-#[derive(Debug, Clone)]
-pub struct Fig7Series {
-    pub label: String,
-    pub groups_used: usize,
-    pub include_direct: bool,
-    pub throughput: Vec<f64>,
-}
-
-/// Figure 7: two groups of 32 nodes in the 512-node `4x4x4x4x2`
-/// partition; vary the number of proxy groups (2, 3, 4, and 4+direct as
-/// the over-provisioned "5th group is the source itself" case) against
-/// the no-proxy baseline.
-///
-/// The first groups come from the disjointness-checked search; once those
-/// are exhausted, forced axis placements (the paper's `A±`, `B±`) pad the
-/// list, intentionally allowing the link sharing whose effect the figure
-/// demonstrates.
-pub fn fig7_sweep(sizes: &[u64]) -> (Vec<f64>, Vec<Fig7Series>) {
-    let cache = PlanCache::new();
-    let points: Vec<(f64, Vec<f64>)> = sizes.iter().map(|&b| fig7_point(&cache, b)).collect();
-    let baseline: Vec<f64> = points.iter().map(|p| p.0).collect();
-    let series = fig7_series_labels()
-        .into_iter()
-        .enumerate()
-        .map(|(i, (label, groups_used, include_direct))| Fig7Series {
-            label,
-            groups_used,
-            include_direct,
-            throughput: points.iter().map(|p| p.1[i]).collect(),
-        })
-        .collect();
-    (baseline, series)
 }
 
 /// The fixed Figure-7 series: `(label, groups used, include direct)`.
@@ -293,8 +244,16 @@ fn fig7_pool(cache: &PlanCache, machine: &Machine, sources: &[NodeId], dests: &[
     pool
 }
 
-/// One Figure-7 point: `(no-proxy baseline, per-series throughput)` at
-/// one message size, in [`fig7_series_labels`] order.
+/// Figure 7: two groups of 32 nodes in the 512-node `4x4x4x4x2`
+/// partition; vary the number of proxy groups (2, 3, 4, and 4+direct as
+/// the over-provisioned "5th group is the source itself" case) against
+/// the no-proxy baseline. One point is `(no-proxy baseline, per-series
+/// throughput)` at one message size, in [`fig7_series_labels`] order.
+///
+/// The first groups come from the disjointness-checked search; once those
+/// are exhausted, forced axis placements (the paper's `A±`, `B±`) pad the
+/// list, intentionally allowing the link sharing whose effect the figure
+/// demonstrates.
 pub fn fig7_point(cache: &PlanCache, bytes: u64) -> (f64, Vec<f64>) {
     let machine = cache.machine(standard_shape(512).unwrap(), &SimConfig::default());
     let (sources, dests) = corner_groups(&machine, 32);
@@ -334,7 +293,8 @@ mod tests {
     fn fig5_shape_matches_paper() {
         // Coarse sweep to keep the test fast.
         let sizes = [64 << 10, 256 << 10, 1 << 20, 16 << 20, 128 << 20];
-        let pts = fig5_sweep(&sizes);
+        let cache = PlanCache::new();
+        let pts: Vec<SweepPoint> = sizes.iter().map(|&b| fig5_point(&cache, b)).collect();
 
         // Small messages: direct wins.
         assert!(pts[0].direct > pts[0].multipath);
@@ -358,7 +318,8 @@ mod tests {
     #[test]
     fn fig5_crossover_near_256kb() {
         let sizes: Vec<u64> = crate::table::paper_size_sweep();
-        let pts = fig5_sweep(&sizes);
+        let cache = PlanCache::new();
+        let pts: Vec<SweepPoint> = sizes.iter().map(|&b| fig5_point(&cache, b)).collect();
         let (bytes, thr) = crossover(&pts).expect("multipath must eventually win");
         assert!(
             (64 << 10..=1 << 20).contains(&bytes),
@@ -372,10 +333,7 @@ mod tests {
 
     #[test]
     fn fig7_more_groups_help_then_hurt() {
-        let sizes = [32u64 << 20];
-        let (baseline, series) = fig7_sweep(&sizes);
-        let b = baseline[0];
-        let t: Vec<f64> = series.iter().map(|s| s.throughput[0]).collect();
+        let (b, t) = fig7_point(&PlanCache::new(), 32 << 20);
         // 3 groups better than 2.
         assert!(t[1] > t[0], "3 groups {:.3e} !> 2 groups {:.3e}", t[1], t[0]);
         // 3+ groups beat the no-proxy baseline.

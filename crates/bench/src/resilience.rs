@@ -26,7 +26,7 @@
 
 use crate::runner::{Experiment, PlanCache, Row};
 use crate::table::fmt_bytes;
-use bgq_comm::{run_resilient_observed, Machine, Program, ResilientOutcome, RetryPolicy};
+use bgq_comm::{run_resilient, Machine, Program, ResilientOutcome, RetryPolicy};
 use bgq_netsim::{FaultPlan, ResourceId, SimConfig};
 use bgq_torus::{num_links, route, standard_shape, NodeId};
 use sdm_core::{plan_direct, MultipathOptions, PlanPolicy, PlanRequest, SparseMover};
@@ -155,7 +155,7 @@ pub fn resilience_point(cache: &PlanCache, bytes: u64, scenario: &Scenario) -> R
     }
     let metrics = cache.metrics().map(|m| m.as_ref());
 
-    let direct = run_resilient_observed(&machine, &plan, &policy, SRC, bytes, metrics, |prog, ctx| {
+    let direct = run_resilient(&machine, &plan, &policy, SRC, bytes, metrics, |prog, ctx| {
         let stubborn = mover.clone().with_multipath(MultipathOptions {
             gate: ctx.gate,
             ..Default::default()
@@ -170,7 +170,7 @@ pub fn resilience_point(cache: &PlanCache, bytes: u64, scenario: &Scenario) -> R
     });
 
     let plan_resilient = |plan: &FaultPlan| {
-        run_resilient_observed(&machine, plan, &policy, SRC, bytes, metrics, |prog, ctx| {
+        run_resilient(&machine, plan, &policy, SRC, bytes, metrics, |prog, ctx| {
             let aware = mover.clone().with_multipath(MultipathOptions {
                 gate: ctx.gate,
                 ..Default::default()

@@ -160,17 +160,10 @@ fn timed_run(
     (side, obs.shards as u32, report)
 }
 
-/// Evaluate one partition size with as many worker threads as the host
-/// offers. Panics if any pair of runs disagrees on any delivery time —
-/// bit-identity is the engine's contract.
-pub fn scale_point(nodes: u32) -> ScalePoint {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    scale_point_with(nodes, &SimConfig::default(), threads)
-}
-
-/// [`scale_point`] under an explicit simulator config and thread count —
-/// the run-ledger uses this to replay the sweep cell on a degraded
-/// machine.
+/// Evaluate one partition size under `sim` with `threads` shard workers
+/// (the run-ledger replays the sweep cell on a degraded machine). Panics
+/// if any pair of runs disagrees on any delivery time — bit-identity is
+/// the engine's contract.
 pub fn scale_point_with(nodes: u32, sim: &SimConfig, threads: usize) -> ScalePoint {
     let shape = standard_shape(nodes)
         .unwrap_or_else(|| panic!("no standard {nodes}-node partition"));

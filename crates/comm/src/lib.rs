@@ -28,8 +28,7 @@ pub use exchange::{consensus_discovery, Discovery, SparseSendMap};
 pub use health::HealthMask;
 pub use machine::{FsParams, Machine, MachineError};
 pub use program::{
-    run_resilient, run_resilient_observed, Program, ReplanContext, ResilientOutcome, RetryPolicy,
-    TransferHandle,
+    run_resilient, Program, ReplanContext, ResilientOutcome, RetryPolicy, TransferHandle,
 };
 pub use scheduled::{binomial_scatter, pairwise_alltoall, ring_allgather};
 pub use subcomm::SubComm;

@@ -310,6 +310,14 @@ pub struct ResilientOutcome {
 /// remainder is retried after an exponential backoff in simulated time,
 /// up to `policy.max_attempts` attempts.
 ///
+/// When `metrics` is present, each attempt, retry, backoff and health
+/// snapshot lands in the registry (`comm.resilient.*`), and any transfer
+/// left undelivered by the final attempt increments
+/// `comm.transfers_undelivered` — so a run that silently reports zero
+/// throughput is loud in the metrics. All recorded values derive from
+/// simulated time and integer counts; the outcome itself is unaffected
+/// by observation.
+///
 /// Attempts are independent simulations stitched on the clock: an
 /// attempt's traffic does not contend with earlier attempts' completed
 /// traffic. That is the standard renewal approximation — by the time a
@@ -319,27 +327,6 @@ pub struct ResilientOutcome {
 /// Panics if `policy.max_attempts` is 0 or the closure plans no bytes
 /// while bytes remain.
 pub fn run_resilient<F>(
-    machine: &Machine,
-    faults: &FaultPlan,
-    policy: &RetryPolicy,
-    src: NodeId,
-    total_bytes: u64,
-    plan: F,
-) -> ResilientOutcome
-where
-    F: FnMut(&mut Program<'_>, &ReplanContext) -> TransferHandle,
-{
-    run_resilient_observed(machine, faults, policy, src, total_bytes, None, plan)
-}
-
-/// [`run_resilient`] with retry-loop observability: when `metrics` is
-/// present, each attempt, retry, backoff and health snapshot lands in
-/// the registry (`comm.resilient.*`), and any transfer left undelivered
-/// by the final attempt increments `comm.transfers_undelivered` — so a
-/// run that silently reports zero throughput is loud in the metrics.
-/// All recorded values derive from simulated time and integer counts;
-/// the outcome itself is unaffected by observation.
-pub fn run_resilient_observed<F>(
     machine: &Machine,
     faults: &FaultPlan,
     policy: &RetryPolicy,
@@ -547,6 +534,7 @@ mod tests {
             &RetryPolicy::default(),
             src,
             RETRY_BYTES,
+            None,
             |p, ctx| {
                 assert!(ctx.gate.is_none(), "first attempt is ungated");
                 let deps = ctx.gate.into_iter().collect();
@@ -568,7 +556,7 @@ mod tests {
         let first_link = m.route_resources(src, dst)[0];
         let plan = FaultPlan::new().fail_link(0.5 * t0, first_link);
         let policy = RetryPolicy { max_attempts: 3, ..Default::default() };
-        let out = run_resilient(&m, &plan, &policy, src, RETRY_BYTES, |p, ctx| {
+        let out = run_resilient(&m, &plan, &policy, src, RETRY_BYTES, None, |p, ctx| {
             // A planner that refuses to learn: always the direct route.
             let deps = ctx.gate.into_iter().collect();
             let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
@@ -593,6 +581,7 @@ mod tests {
             &RetryPolicy::default(),
             src,
             RETRY_BYTES,
+            None,
             |p, ctx| {
                 let deps: Vec<_> = ctx.gate.into_iter().collect();
                 if ctx.health.is_healthy() {
@@ -640,7 +629,7 @@ mod tests {
         let plan = FaultPlan::new().fail_link(0.5 * t0, first_link);
         let policy = RetryPolicy { max_attempts: 2, ..Default::default() };
         let reg = MetricsRegistry::new();
-        let out = run_resilient_observed(&m, &plan, &policy, src, RETRY_BYTES, Some(&reg), |p, ctx| {
+        let out = run_resilient(&m, &plan, &policy, src, RETRY_BYTES, Some(&reg), |p, ctx| {
             let deps = ctx.gate.into_iter().collect();
             let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);
             TransferHandle { tokens: vec![t], bytes: ctx.bytes }
@@ -688,6 +677,7 @@ mod tests {
             &RetryPolicy::default(),
             src,
             RETRY_BYTES,
+            None,
             |p, ctx| {
                 let deps = ctx.gate.into_iter().collect();
                 let t = p.put_after(src, dst, ctx.bytes, deps, 0.0);

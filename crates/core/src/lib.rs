@@ -88,6 +88,6 @@ pub use planner::{
 };
 pub use proxy::{
     displace_group, find_proxies, find_proxies_constrained, find_proxy_groups,
-    find_proxy_groups_global, proxy_groups_along, ProxyGroup, ProxyPath,
-    ProxySearchConfig, ProxySelection, RejectReason, SearchStats,
+    proxy_groups_along, ProxyGroup, ProxyPath, ProxySearchConfig, ProxySelection,
+    RejectReason, SearchStats,
 };

@@ -439,77 +439,6 @@ pub fn find_proxy_groups(
     }
 }
 
-/// Like [`find_proxy_groups`], but with *global* link-disjointness: a
-/// candidate group is accepted only if every path it adds is disjoint
-/// from the paths of **all** sources' previously accepted groups, not
-/// just its own source's. This is stricter — cross-source sharing inside
-/// a group's corridor (which per-source checking tolerates and the
-/// simulator then prices as contention) is ruled out entirely — so it
-/// finds fewer groups, each contributing full bandwidth.
-///
-/// Returns however many globally clean groups exist (no minimum is
-/// enforced; callers combine with per-source groups as they see fit).
-pub fn find_proxy_groups_global(
-    shape: &Shape,
-    zone: Zone,
-    sources: &[NodeId],
-    dests: &[NodeId],
-    cfg: &ProxySearchConfig,
-) -> Vec<ProxyGroup> {
-    assert_eq!(sources.len(), dests.len());
-    if sources.is_empty() {
-        return Vec::new();
-    }
-    let members: HashSet<NodeId> = sources.iter().chain(dests.iter()).copied().collect();
-    let hops = shape.hops_per_dim(shape.coord(sources[0]), shape.coord(dests[0]));
-    let mut dims: Vec<Dim> = Dim::ALL.to_vec();
-    dims.sort_by_key(|d| std::cmp::Reverse(hops[d.index()]));
-
-    let mut used: HashSet<bgq_torus::LinkId> = HashSet::new();
-    let mut groups: Vec<ProxyGroup> = Vec::new();
-
-    'dirs: for dim in dims {
-        for sign in [Sign::Plus, Sign::Minus] {
-            if groups.len() >= cfg.max_proxies {
-                break 'dirs;
-            }
-            let dir = Direction::new(dim, sign);
-            let max_theta = cfg.max_offset.min(shape.extent(dim).saturating_sub(1));
-            'offsets: for theta in 1..=max_theta {
-                'variants: for base in [sources, dests] {
-                    let nodes = displace_group(shape, base, dir, theta);
-                    let mut candidate_paths = Vec::with_capacity(sources.len());
-                    // One shared set: candidates must clear links claimed
-                    // by every accepted group AND by the other paths of
-                    // this same candidate group.
-                    let mut tentative = used.clone();
-                    for (i, (&s, &d)) in sources.iter().zip(dests).enumerate() {
-                        let p = nodes[i];
-                        if members.contains(&p) {
-                            continue 'variants;
-                        }
-                        match try_candidate(shape, zone, s, d, p, &tentative) {
-                            Some(path) => {
-                                tentative.extend(path_links(&path));
-                                candidate_paths.push(path);
-                            }
-                            None => continue 'variants,
-                        }
-                    }
-                    used = tentative;
-                    groups.push(ProxyGroup {
-                        direction: dir,
-                        offset: theta,
-                        nodes,
-                    });
-                    break 'offsets;
-                }
-            }
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,46 +617,6 @@ mod tests {
         );
         let c = shape.coord(g[0]);
         assert_eq!(c.get(Dim::C), 3);
-    }
-
-    #[test]
-    fn global_search_paths_are_disjoint_across_all_sources() {
-        let shape = standard_shape(512).unwrap();
-        let sources: Vec<NodeId> = (0..32).map(NodeId).collect();
-        let dests: Vec<NodeId> = (480..512).map(NodeId).collect();
-        let groups = find_proxy_groups_global(&shape, Zone::Z2, &sources, &dests, &cfg());
-        assert!(!groups.is_empty());
-        let mut seen: HashSet<bgq_torus::LinkId> = HashSet::new();
-        for g in &groups {
-            for (i, (&s, &d)) in sources.iter().zip(&dests).enumerate() {
-                let p = g.nodes[i];
-                let seg1 = route(&shape, s, p, Zone::Z2);
-                let seg2 = route(&shape, p, d, Zone::Z2);
-                for l in seg1.links.iter().chain(&seg2.links) {
-                    assert!(seen.insert(*l), "global search reused link {l}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn global_search_finds_at_most_per_source_count() {
-        let shape = standard_shape(2048).unwrap();
-        let n = shape.num_nodes();
-        let sources: Vec<NodeId> = (0..256).map(NodeId).collect();
-        let dests: Vec<NodeId> = (n - 256..n).map(NodeId).collect();
-        let per_source = find_proxy_groups(&shape, Zone::Z2, &sources, &dests, &cfg());
-        let global = find_proxy_groups_global(
-            &shape,
-            Zone::Z2,
-            &sources,
-            &dests,
-            &ProxySearchConfig {
-                min_proxies: 0,
-                ..cfg()
-            },
-        );
-        assert!(global.len() <= per_source.len().max(1));
     }
 
     #[test]

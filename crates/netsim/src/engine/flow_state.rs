@@ -106,12 +106,6 @@ impl FlowSet {
         }
         (self.stall_time, at_drain)
     }
-
-    /// [`close`](Self::close), keeping only the per-transfer totals.
-    #[cfg(test)]
-    pub fn into_stall_time(self, end: f64) -> Vec<f64> {
-        self.close(end).0
-    }
 }
 
 #[cfg(test)]
@@ -128,15 +122,13 @@ mod tests {
         assert_eq!(fs.resume_at(0, 5.0), 0);
         // Resumed flow re-enters at the back.
         assert_eq!(fs.active[1].tid, 0);
-        let st = fs.into_stall_time(10.0);
-        assert_eq!(st, vec![3.0, 0.0]);
+        assert_eq!(fs.close(10.0), (vec![3.0, 0.0], vec![]));
     }
 
     #[test]
     fn unresumed_stall_accrues_to_end_of_run() {
         let mut fs = FlowSet::new(2);
         fs.stall_new(1, 50.0, 4.0);
-        let st = fs.into_stall_time(9.0);
-        assert_eq!(st, vec![0.0, 5.0]);
+        assert_eq!(fs.close(9.0), (vec![0.0, 5.0], vec![1]));
     }
 }

@@ -21,17 +21,20 @@
 //! full solve. Untouched flows keep their previous (equally identical)
 //! rates.
 //!
-//! When the dirty closure exceeds `full_fraction` of the active set the
-//! leveler falls back to a full solve: the sub-demand bookkeeping would
-//! cost more than it saves, and the fallback keeps the worst case at the
-//! classical engine's cost. The closure is bounded: the leveler keeps an
-//! exact count of dirty *active* flows (a flow that leaves is unmarked),
-//! the count only grows during the BFS, so the BFS stops the moment it
-//! passes the threshold — the same fallback decision the complete
-//! closure would reach, at a fraction of its cost in dense regimes where
-//! almost every re-level closes over the whole active set. The threshold
-//! is a pure performance knob — results are identical at any value,
-//! which `tests/incremental.rs` pins.
+//! When the dirty closure exceeds [`FULL_FRACTION`] of the active set
+//! the leveler falls back to a full solve: the sub-demand bookkeeping
+//! would cost more than it saves, and the fallback keeps the worst case
+//! at the classical engine's cost. [`SolverMode::Full`] forces that
+//! fallback at every re-level; both decisions feed the same solve over
+//! a list of active-set indices (all of them, or the dirty ones). The
+//! closure is bounded: the leveler keeps an exact count of dirty
+//! *active* flows (a flow that leaves is unmarked), the count only grows
+//! during the BFS, so the BFS stops the moment it passes the threshold —
+//! the same fallback decision the complete closure would reach, at a
+//! fraction of its cost in dense regimes where almost every re-level
+//! closes over the whole active set. Results are identical whichever
+//! way a re-level goes, which `tests/incremental.rs` pins against a
+//! `Full` run.
 
 use crate::config::SimConfig;
 use crate::graph::TransferSpec;
@@ -40,14 +43,16 @@ use crate::waterfill::{FlowDemand, Waterfill};
 use super::flow_state::ActiveFlow;
 use super::SolverMode;
 
+/// Dirty-closure size, as a fraction of the active set, above which an
+/// incremental re-level falls back to a full solve.
+const FULL_FRACTION: f64 = 0.5;
+
 #[derive(Debug)]
 pub(crate) struct Leveler {
     wf: Waterfill,
-    /// Always run full solves (SolverMode::Full).
+    /// Force the full-solve fallback at every re-level
+    /// ([`SolverMode::Full`]).
     full_only: bool,
-    /// Dirty-closure size (as a fraction of the active set) above which
-    /// an incremental re-level falls back to a full solve.
-    full_fraction: f64,
     /// Per-resource membership: the active transfer ids crossing each
     /// resource (with multiplicity, mirroring route multiplicity).
     res_flows: Vec<Vec<u32>>,
@@ -61,7 +66,8 @@ pub(crate) struct Leveler {
     dirty_flows: Vec<u32>,
     /// Number of flows whose `flow_dirty` mark is set.
     dirty_count: usize,
-    /// Active-list indices of dirty flows, rebuilt each re-level.
+    /// Active-list indices of the flows the next solve covers: the dirty
+    /// ones, or every active flow on a full solve. Rebuilt each re-level.
     sub_idx: Vec<u32>,
     /// Per-transfer binding resource (the waterfill resource whose
     /// residual fixed the flow's rate; `CAP_BINDING` = its own cap) from
@@ -77,20 +83,9 @@ pub(crate) struct Leveler {
 
 impl Leveler {
     pub fn new(num_resources: usize, num_transfers: usize, mode: SolverMode) -> Leveler {
-        let (full_only, full_fraction) = match mode {
-            SolverMode::Full => (true, 0.0),
-            SolverMode::Incremental { full_fraction } => {
-                assert!(
-                    (0.0..=1.0).contains(&full_fraction),
-                    "full_fraction must be in [0, 1]"
-                );
-                (false, full_fraction)
-            }
-        };
         Leveler {
             wf: Waterfill::new(num_resources),
-            full_only,
-            full_fraction,
+            full_only: mode == SolverMode::Full,
             res_flows: (0..num_resources).map(|_| Vec::new()).collect(),
             res_dirty: vec![false; num_resources],
             dirty_res: Vec::new(),
@@ -169,20 +164,14 @@ impl Leveler {
         config: &SimConfig,
         rates: &mut Vec<f64>,
     ) {
-        if self.full_only {
-            self.clear_dirty();
-            self.solve_full(active, specs, caps, config, rates);
-            return;
-        }
-
         // Transitive closure: dirty resource -> its flows dirty -> their
         // routes dirty. `dirty_res` doubles as the BFS worklist (the
         // scan index only moves forward over appended entries). Only
         // active flows sit in `res_flows`, so `dirty_count` is the
         // number of dirty active flows; it never shrinks here, so once
         // it passes the threshold the full closure would too.
-        let threshold = self.full_fraction * active.len() as f64;
-        let mut fallback = self.dirty_count as f64 > threshold;
+        let threshold = FULL_FRACTION * active.len() as f64;
+        let mut fallback = self.full_only || self.dirty_count as f64 > threshold;
         let mut qi = 0;
         'closure: while !fallback && qi < self.dirty_res.len() {
             let ri = self.dirty_res[qi] as usize;
@@ -202,52 +191,28 @@ impl Leveler {
             }
         }
 
+        // The flows to solve, in active-list order: the demand order a
+        // full solve presents them in, so a sub-solve reproduces its bits.
+        self.sub_idx.clear();
         if fallback {
-            self.clear_dirty();
-            self.solve_full(active, specs, caps, config, rates);
+            self.full_runs += 1;
+            self.sub_idx.extend(0..active.len() as u32);
         } else {
-            // Dirty flows in active-list order: the demand order a full
-            // solve would present them in.
-            self.sub_idx.clear();
+            self.incremental_runs += 1;
             for (i, f) in active.iter().enumerate() {
                 if self.flow_dirty[f.tid as usize] {
                     self.sub_idx.push(i as u32);
                 }
             }
             debug_assert_eq!(self.sub_idx.len(), self.dirty_count);
-            self.clear_dirty();
-            self.incremental_runs += 1;
-            if !self.sub_idx.is_empty() {
-                let demands: Vec<FlowDemand> = self
-                    .sub_idx
-                    .iter()
-                    .map(|&i| {
-                        let spec = &specs[active[i as usize].tid as usize];
-                        FlowDemand {
-                            route: &spec.route,
-                            cap: spec.rate_cap.unwrap_or(config.per_flow_cap),
-                        }
-                    })
-                    .collect();
-                self.wf.compute_with_penalty(
-                    &demands,
-                    caps,
-                    config.contention_penalty,
-                    config.contention_floor,
-                    rates,
-                );
-                let Leveler { wf, binding, sub_idx, .. } = self;
-                let bindings = wf.bindings();
-                for (k, &i) in sub_idx.iter().enumerate() {
-                    let f = &mut active[i as usize];
-                    f.rate = rates[k];
-                    binding[f.tid as usize] = bindings[k];
-                }
-            }
         }
+        self.clear_dirty();
+        self.solve(active, specs, caps, config, rates);
     }
 
-    fn solve_full(
+    /// Solve the waterfill over the flows `sub_idx` names and write their
+    /// rates and bindings back; every other flow keeps its own.
+    fn solve(
         &mut self,
         active: &mut [ActiveFlow],
         specs: &[TransferSpec],
@@ -255,11 +220,14 @@ impl Leveler {
         config: &SimConfig,
         rates: &mut Vec<f64>,
     ) {
-        self.full_runs += 1;
-        let demands: Vec<FlowDemand> = active
+        if self.sub_idx.is_empty() {
+            return;
+        }
+        let demands: Vec<FlowDemand> = self
+            .sub_idx
             .iter()
-            .map(|f| {
-                let spec = &specs[f.tid as usize];
+            .map(|&i| {
+                let spec = &specs[active[i as usize].tid as usize];
                 FlowDemand {
                     route: &spec.route,
                     cap: spec.rate_cap.unwrap_or(config.per_flow_cap),
@@ -273,11 +241,17 @@ impl Leveler {
             config.contention_floor,
             rates,
         );
-        let Leveler { wf, binding, .. } = self;
+        let Leveler {
+            wf,
+            binding,
+            sub_idx,
+            ..
+        } = self;
         let bindings = wf.bindings();
-        for ((f, &r), &b) in active.iter_mut().zip(rates.iter()).zip(bindings) {
-            f.rate = r;
-            binding[f.tid as usize] = b;
+        for (k, &i) in sub_idx.iter().enumerate() {
+            let f = &mut active[i as usize];
+            f.rate = rates[k];
+            binding[f.tid as usize] = bindings[k];
         }
     }
 
@@ -327,135 +301,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn incremental_leaves_untouched_component_alone() {
-        // Flows 0,1 share link 0; flow 2 rides link 1 alone. Leveling
-        // all three, then re-leveling after only flow 2's departure,
-        // must not touch flows 0 and 1.
-        let specs = vec![spec(&[0]), spec(&[0]), spec(&[1])];
-        let caps = [100.0, 100.0];
-        let mut lev = Leveler::new(
-            2,
-            3,
-            SolverMode::Incremental { full_fraction: 1.0 },
-        );
-        let mut active = vec![flow(0), flow(1), flow(2)];
-        let mut rates = Vec::new();
+    /// An incremental leveler with every flow in `specs` joined, active
+    /// in tid order, and leveled once (a full solve: every flow is dirty).
+    fn leveled(specs: &[TransferSpec], num_resources: usize) -> (Leveler, Vec<ActiveFlow>) {
+        let caps = vec![100.0; num_resources];
+        let mut lev = Leveler::new(num_resources, specs.len(), SolverMode::Incremental);
+        let mut active: Vec<ActiveFlow> = (0..specs.len() as u32).map(flow).collect();
         for (tid, s) in specs.iter().enumerate() {
             lev.note_join(tid as u32, &s.route);
         }
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
-        assert_eq!(active[0].rate, 50.0);
-        assert_eq!(active[2].rate, 100.0);
+        lev.level(&mut active, specs, &caps, &cfg(), &mut Vec::new());
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 0));
+        (lev, active)
+    }
 
-        // Flow 2 leaves; poison the disjoint component's rates to prove
-        // the sub-solve never visits them.
-        lev.note_leave(2, &specs[2].route);
+    #[test]
+    fn incremental_leaves_untouched_component_alone() {
+        // Flows 0,1 share link 0; flows 2,3 share link 1. Flow 3's
+        // departure dirties flow 2 only (1 of 3 active: incremental),
+        // which must not touch flows 0 and 1.
+        let specs = vec![spec(&[0]), spec(&[0]), spec(&[1]), spec(&[1])];
+        let caps = [100.0, 100.0];
+        let (mut lev, mut active) = leveled(&specs, 2);
+        assert_eq!(active[0].rate, 50.0);
+        assert_eq!(active[2].rate, 50.0);
+        assert_eq!((lev.binding_of(0), lev.binding_of(1)), (0, 0));
+
+        // Poison the disjoint component's rates to prove the sub-solve
+        // never visits them.
+        lev.note_leave(3, &specs[3].route);
         active.pop();
         active[0].rate = -1.0;
         active[1].rate = -1.0;
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         assert_eq!(active[0].rate, -1.0);
         assert_eq!(active[1].rate, -1.0);
-        assert_eq!(lev.incremental_runs, 2);
-        assert_eq!(lev.full_runs, 0);
+        assert_eq!(
+            (lev.binding_of(0), lev.binding_of(1)),
+            (0, 0),
+            "untouched bindings persist"
+        );
+        // Flow 2 now rides link 1 alone at the shared-equals-cap tie,
+        // where the real link wins (lower resource index).
+        assert_eq!(active[2].rate, 100.0);
+        assert_eq!(lev.binding_of(2), 1);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
     }
 
     #[test]
     fn closure_pulls_in_transitive_sharers() {
-        // Chain: flow 0 on {0}, flow 1 on {0,1}, flow 2 on {1}. A join
-        // on link 0 must re-level flow 2 too (via flow 1).
-        let specs = vec![spec(&[0]), spec(&[0, 1]), spec(&[1])];
-        let caps = [100.0, 100.0];
-        let mut lev = Leveler::new(
-            2,
-            3,
-            SolverMode::Incremental { full_fraction: 1.0 },
-        );
-        let mut active = vec![flow(1), flow(2)];
-        let mut rates = Vec::new();
-        lev.note_join(1, &specs[1].route);
-        lev.note_join(2, &specs[2].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        // Chain: flow 0 on {0}, flow 1 on {0,1}, flow 2 on {1}; flows
+        // 3..=5 sit on link 2. A join on link 0 must re-level flow 2 too
+        // (via flow 1): a closure of 3 of 6 active flows, incremental.
+        let specs = vec![
+            spec(&[0]),
+            spec(&[0, 1]),
+            spec(&[1]),
+            spec(&[2]),
+            spec(&[2]),
+            spec(&[2]),
+        ];
+        let caps = [100.0; 3];
+        let mut lev = Leveler::new(3, specs.len(), SolverMode::Incremental);
+        let mut active: Vec<ActiveFlow> = (1..6).map(flow).collect();
+        for f in &active {
+            lev.note_join(f.tid, &specs[f.tid as usize].route);
+        }
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         assert_eq!(active[0].rate, 50.0);
         assert_eq!(active[1].rate, 50.0);
 
         lev.note_join(0, &specs[0].route);
         active.insert(0, flow(0));
         active[2].rate = -1.0; // flow 2: must be re-leveled via closure
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         // Max-min: link 0 splits 50/50 between flows 0 and 1; flow 2
         // then gets link 1's slack.
         assert_eq!(active[0].rate, 50.0);
         assert_eq!(active[1].rate, 50.0);
         assert_eq!(active[2].rate, 50.0);
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
     }
 
     #[test]
-    fn bindings_survive_untouched_re_levels() {
-        // Flows 0,1 contend on link 0 (binding 0); flow 2 rides link 1
-        // alone at the shared-equals-cap tie, where the real link wins
-        // (lower resource index). After flow 2 leaves, the untouched
-        // component's bindings must persist unchanged.
-        let specs = vec![spec(&[0]), spec(&[0]), spec(&[1])];
-        let caps = [100.0, 100.0];
-        let mut lev = Leveler::new(
-            2,
-            3,
-            SolverMode::Incremental { full_fraction: 1.0 },
-        );
-        let mut active = vec![flow(0), flow(1), flow(2)];
-        let mut rates = Vec::new();
-        for (tid, s) in specs.iter().enumerate() {
-            lev.note_join(tid as u32, &s.route);
-        }
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
-        assert_eq!(lev.binding_of(0), 0);
-        assert_eq!(lev.binding_of(1), 0);
-        assert_eq!(lev.binding_of(2), 1);
-
-        lev.note_leave(2, &specs[2].route);
-        active.pop();
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
-        assert_eq!(lev.binding_of(0), 0, "untouched binding must persist");
-        assert_eq!(lev.binding_of(1), 0);
-    }
-
-    #[test]
-    fn threshold_forces_full_fallback() {
-        let specs = vec![spec(&[0]), spec(&[1])];
-        let caps = [100.0, 100.0];
-        let mut lev = Leveler::new(
-            2,
-            2,
-            SolverMode::Incremental { full_fraction: 0.0 },
-        );
-        let mut active = vec![flow(0), flow(1)];
-        let mut rates = Vec::new();
-        lev.note_join(0, &specs[0].route);
-        lev.note_join(1, &specs[1].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
-        assert_eq!(lev.full_runs, 1);
-        assert_eq!(lev.incremental_runs, 0);
-        assert_eq!(active[0].rate, 100.0);
+    fn closure_of_half_the_active_set_stays_incremental() {
+        // Flows 0..5 share link 0; flows 5..10 ride links 1..=5 alone. A
+        // capacity change on link 0 closes over 5 of 10 active flows —
+        // exactly the threshold — and stays incremental; one on links 0
+        // and 1 closes over 6 and falls back to a full solve.
+        let specs: Vec<TransferSpec> = (0..10).map(|t| spec(&[t.max(4) - 4])).collect();
+        let caps = [100.0; 6];
+        let (mut lev, mut active) = leveled(&specs, 6);
+        lev.note_caps_changed(0);
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
+        assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
+        lev.note_caps_changed(0);
+        lev.note_caps_changed(1);
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
+        assert_eq!((lev.full_runs, lev.incremental_runs), (2, 1));
     }
 
     #[test]
     fn empty_dirty_set_is_a_free_re_level() {
         let specs = vec![spec(&[0])];
         let caps = [100.0];
-        let mut lev = Leveler::new(
-            1,
-            1,
-            SolverMode::Incremental { full_fraction: 0.5 },
-        );
-        let mut active = vec![flow(0)];
-        let mut rates = Vec::new();
-        lev.note_join(0, &specs[0].route);
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        let (mut lev, mut active) = leveled(&specs, 1);
         // Nothing changed since: the re-level touches no flow.
         active[0].rate = -1.0;
-        lev.level(&mut active, &specs, &caps, &cfg(), &mut rates);
+        lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         assert_eq!(active[0].rate, -1.0);
         assert_eq!(lev.incremental_runs, 1);
         assert_eq!(lev.full_runs, 1);
@@ -470,16 +423,11 @@ mod tests {
     fn assert_matches_full(
         specs: &[TransferSpec],
         num_resources: usize,
-        full_fraction: f64,
         active: &[u32],
         steps: &[(&[u32], &[u32])],
     ) -> Leveler {
         let caps = vec![100.0; num_resources];
-        let mut inc = Leveler::new(
-            num_resources,
-            specs.len(),
-            SolverMode::Incremental { full_fraction },
-        );
+        let mut inc = Leveler::new(num_resources, specs.len(), SolverMode::Incremental);
         let mut full = Leveler::new(num_resources, specs.len(), SolverMode::Full);
         let flows = || active.iter().map(|&t| flow(t)).collect::<Vec<_>>();
         let (mut inc_active, mut full_active) = (flows(), flows());
@@ -520,27 +468,26 @@ mod tests {
             spec(&[0]),
         ];
         let all: &[u32] = &[0, 1, 2, 3, 4];
-        let lev = assert_matches_full(&specs, 4, 0.5, all, &[(all, &[]), (&[5], &[5])]);
+        let lev = assert_matches_full(&specs, 4, all, &[(all, &[]), (&[5], &[5])]);
         assert_eq!((lev.full_runs, lev.incremental_runs), (2, 0));
     }
 
     #[test]
     fn join_then_stall_leaves_no_dirty_mark() {
-        // Flows 0,1 share link 0; flows 2,3,4 sit on links 1 and 2. Flow
-        // 5 (link 0) joins and stalls in one instant: the closure is
-        // flows 0 and 1, exactly the threshold 0.4 × 5 = 2, so the
-        // re-level stays incremental. Counting flow 5's mark as well
-        // would have forced a full solve.
+        // Flows 0,1 share link 0; flows 2,3 sit on links 1 and 2. Flow 4
+        // (link 0) joins and stalls in one instant: the closure is flows
+        // 0 and 1, exactly the threshold 0.5 × 4 = 2, so the re-level
+        // stays incremental. Counting flow 4's mark as well would have
+        // forced a full solve.
         let specs = vec![
             spec(&[0]),
             spec(&[0]),
             spec(&[1]),
             spec(&[1, 2]),
-            spec(&[2]),
             spec(&[0]),
         ];
-        let all: &[u32] = &[0, 1, 2, 3, 4];
-        let lev = assert_matches_full(&specs, 3, 0.4, all, &[(all, &[]), (&[5], &[5])]);
+        let all: &[u32] = &[0, 1, 2, 3];
+        let lev = assert_matches_full(&specs, 3, all, &[(all, &[]), (&[4], &[4])]);
         assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
     }
 }

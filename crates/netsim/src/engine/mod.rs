@@ -16,9 +16,11 @@
 //! The engine is fully deterministic: identical inputs produce identical
 //! event orderings and timings. The run surface is one method,
 //! [`Simulator::simulate`], taking [`SimOptions`] (optional fault plan,
-//! optional observer, solver mode); rate recomputation is incremental by
-//! default ([`SolverMode::Incremental`]) and bit-identical to a full
-//! re-level at every event — see the [`leveling`](self) submodule.
+//! optional observer, solver mode). Each rate re-level solves the dirty
+//! closure of the flows an event touched, or every active flow when that
+//! closure passes a fixed share of the active set; [`SolverMode::Full`]
+//! forces the full solve at every re-level. Either way the rates are
+//! bit-identical — see the [`leveling`](self) submodule.
 //!
 //! Every run takes one path: validate, partition the graph into
 //! contention shards (the [`shard`](self) submodule; a graph that is one
@@ -35,7 +37,7 @@ mod shard;
 use crate::config::SimConfig;
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::graph::{TransferGraph, TransferId};
-use crate::obs::{FaultReLevel, HeatmapSample, ShardMerge, SimObserver};
+use crate::obs::{HeatmapSample, ShardMerge, SimObserver};
 use crate::profile::{ProfileState, SimProfile};
 use faults::FaultState;
 use flow_state::FlowSet;
@@ -47,45 +49,35 @@ use shard::{execute, partition, ShardPlan};
 /// Bytes below which a flow is considered complete (absorbs float error).
 const BYTE_EPS: f64 = 1e-3;
 
-/// Default dirty-closure fraction above which an incremental re-level
-/// falls back to a full solve.
-pub const DEFAULT_FULL_FRACTION: f64 = 0.5;
-
 /// How the engine re-levels fair-share rates at each epoch boundary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Both modes produce bit-identical reports; they differ only in how
+/// much work each re-level performs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SolverMode {
-    /// Re-solve the waterfill over every active flow at every epoch
+    /// Re-solve the waterfill over every active flow at every epoch: the
+    /// incremental solver's full-solve fallback, forced at every re-level
     /// (the classical engine; kept as the oracle for the incremental
     /// path).
     Full,
     /// Re-solve only the transitive closure of flows/links whose
     /// saturation set changed, falling back to a full solve when the
-    /// closure exceeds `full_fraction` of the active set. Produces
-    /// bit-identical reports to [`SolverMode::Full`] at any fraction.
-    Incremental { full_fraction: f64 },
-}
-
-impl Default for SolverMode {
-    fn default() -> SolverMode {
-        SolverMode::Incremental {
-            full_fraction: DEFAULT_FULL_FRACTION,
-        }
-    }
+    /// closure exceeds a fixed half of the active set.
+    #[default]
+    Incremental,
 }
 
 /// Options for one [`Simulator::simulate`] run: an optional fault
 /// schedule, an optional passive observer, and the solver mode.
 ///
-/// The default is a fault-free, unobserved run with the incremental
-/// solver — exactly what the old `run` method did (modulo solver mode,
-/// which never changes results).
+/// The default is a fault-free, unobserved, unprofiled, inline run with
+/// the incremental solver.
 #[derive(Debug, Default)]
 pub struct SimOptions<'a> {
     /// Fault schedule; `None` (or an empty plan) runs fault-free.
     pub faults: Option<&'a FaultPlan>,
     /// Passive observer; never influences the event sequence.
     pub observer: Option<&'a mut SimObserver>,
-    /// Rate re-leveling strategy.
+    /// Rate re-leveling strategy; never changes results.
     pub solver: SolverMode,
     /// Collect bottleneck attribution into [`SimReport::profile`].
     /// Profiling is passive: the report's other fields are bit-identical
@@ -391,7 +383,6 @@ impl Simulator {
             .collect_link_stats
             .then(|| vec![0.0f64; self.capacities.len()]);
         let mut pstate = profile.then(|| ProfileState::new(n));
-        let shards = plans.len() as u32;
         let mark = obs.as_deref().map(|o| o.mark());
         for (k, (plan, (run, local))) in plans.iter().zip(runs).enumerate() {
             for (li, &t) in plan.tids.iter().enumerate() {
@@ -446,7 +437,7 @@ impl Simulator {
         }
         let makespan = delivery_time.iter().copied().fold(0.0, f64::max);
         let profile = pstate
-            .map(|ps| ps.finish(&delivery_time, &flow_start_time, &stall_time, end_time, shards));
+            .map(|ps| ps.finish(&delivery_time, &flow_start_time, &stall_time, end_time));
         SimReport {
             delivery_time,
             flow_start_time,
@@ -710,13 +701,6 @@ fn run_component(
                 if let Some(o) = obs.as_deref_mut() {
                     o.fault_events += 1;
                 }
-                // Start indices into the observer's stall/resume logs:
-                // everything the repartition below appends belongs to
-                // this fault epoch's re-level record.
-                let (s0, r0) = match obs.as_deref_mut() {
-                    Some(o) => (o.stalls.len(), o.resumes.len()),
-                    None => (0, 0),
-                };
                 // Re-partition running vs. stalled flows under the new
                 // health state, preserving arrival order (determinism).
                 let mut i = 0;
@@ -742,15 +726,6 @@ fn run_component(
                     } else {
                         i += 1;
                     }
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    let stalled = o.stalls[s0..].iter().map(|&(_, t)| t).collect();
-                    let resumed = o.resumes[r0..].iter().map(|&(_, t)| t).collect();
-                    o.fault_re_levels.push(FaultReLevel {
-                        time: now,
-                        stalled,
-                        resumed,
-                    });
                 }
                 rates_dirty = true;
             }
@@ -1238,12 +1213,7 @@ mod tests {
             .restore_link(9.0, ResourceId(2));
 
         let full = s.simulate(&g, SimOptions::new().faults(&plan).solver(SolverMode::Full));
-        let inc = s.simulate(
-            &g,
-            SimOptions::new()
-                .faults(&plan)
-                .solver(SolverMode::Incremental { full_fraction: 1.0 }),
-        );
+        let inc = s.simulate(&g, SimOptions::new().faults(&plan).solver(SolverMode::default()));
         let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|f| f.to_bits()).collect() };
         assert_eq!(bits(&full.delivery_time), bits(&inc.delivery_time));
         assert_eq!(bits(&full.flow_start_time), bits(&inc.flow_start_time));
@@ -1498,7 +1468,7 @@ mod tests {
         );
         assert_eq!(rep0, rep1);
         assert_eq!(o0, o1);
-        assert_eq!(rep1.profile.as_ref().unwrap().shards, 3);
+        assert_eq!(o1.shards, 3);
     }
 
     #[test]

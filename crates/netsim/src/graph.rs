@@ -163,19 +163,6 @@ impl TransferGraph {
     pub fn total_bytes(&self) -> u64 {
         self.specs.iter().map(|s| s.bytes).sum()
     }
-
-    /// Merge another graph into this one, remapping its ids.
-    /// Returns the id offset that was applied.
-    pub fn append(&mut self, other: TransferGraph) -> u32 {
-        let offset = self.specs.len() as u32;
-        for mut spec in other.specs {
-            for d in &mut spec.deps {
-                d.0 += offset;
-            }
-            self.specs.push(spec);
-        }
-        offset
-    }
 }
 
 #[cfg(test)]
@@ -215,21 +202,6 @@ mod tests {
     fn negative_delay_panics() {
         let mut g = TransferGraph::new();
         g.add(spec(0, 1).with_delay(-1.0));
-    }
-
-    #[test]
-    fn append_remaps_dependencies() {
-        let mut g1 = TransferGraph::new();
-        g1.add(spec(0, 1));
-
-        let mut g2 = TransferGraph::new();
-        let a = g2.add(spec(2, 3));
-        g2.add(spec(3, 4).after(vec![a]));
-
-        let offset = g1.append(g2);
-        assert_eq!(offset, 1);
-        assert_eq!(g1.len(), 3);
-        assert_eq!(g1.specs()[2].deps, vec![TransferId(1)]);
     }
 
     #[test]

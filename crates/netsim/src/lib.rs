@@ -36,13 +36,10 @@ pub mod stats;
 pub mod waterfill;
 
 pub use config::SimConfig;
-pub use engine::{
-    execute_indexed, SimOptions, SimReport, Simulator, SolverMode, TransferStatus,
-    DEFAULT_FULL_FRACTION,
-};
+pub use engine::{execute_indexed, SimOptions, SimReport, Simulator, SolverMode, TransferStatus};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use graph::{ResourceId, TransferGraph, TransferId, TransferSpec};
-pub use obs::{FaultReLevel, HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};
+pub use obs::{HeatmapSample, LinkHeatmap, ShardMerge, SimObserver};
 pub use profile::{Binding, SimProfile, TransferTimeProfile};
 pub use stats::{
     active_fraction, try_active_fraction, try_utilization, utilization, StatsError, Utilization,

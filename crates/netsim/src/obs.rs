@@ -46,50 +46,6 @@ impl LinkHeatmap {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// CSV rows `epoch,time,resource,bytes_in_flight`. The samples are
-    /// already sparse (zero cells never stored), so this is a plain
-    /// dump; the output is byte-identical to what the old dense samples
-    /// produced, since those skipped zero entries on the way out.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("epoch,time,resource,bytes_in_flight\n");
-        for s in &self.samples {
-            for &(r, b) in &s.bytes_in_flight {
-                if b > 0.0 {
-                    out.push_str(&format!("{},{:?},{r},{b:?}\n", s.epoch, s.time));
-                }
-            }
-        }
-        out
-    }
-
-    /// The peak bytes-in-flight seen on `resource` across all samples.
-    pub fn peak(&self, resource: usize) -> f64 {
-        let rid = resource as u32;
-        self.samples
-            .iter()
-            .filter_map(|s| {
-                s.bytes_in_flight
-                    .binary_search_by_key(&rid, |&(r, _)| r)
-                    .ok()
-                    .map(|i| s.bytes_in_flight[i].1)
-            })
-            .fold(0.0, f64::max)
-    }
-}
-
-/// One fault-epoch re-level: a fault event applied and the transfers it
-/// froze or thawed, keyed on simulated time so traces and profiles can
-/// cross-reference the exact epoch. Faults that only changed capacity
-/// (degrades) produce an entry with empty id lists.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultReLevel {
-    /// Simulated time the fault event applied.
-    pub time: f64,
-    /// Transfers frozen by this event's re-partition.
-    pub stalled: Vec<u32>,
-    /// Transfers resumed by this event's re-partition.
-    pub resumed: Vec<u32>,
 }
 
 /// One contention shard folded into a run's merged result: which shard
@@ -114,9 +70,9 @@ pub struct ShardMerge {
 pub struct SimObserver {
     /// Rate recomputations performed (waterfill re-runs).
     pub waterfill_runs: u64,
-    /// Re-levels solved over the *entire* active set — either because
-    /// [`crate::SolverMode::Full`] was selected or because the dirty
-    /// closure exceeded the incremental solver's fallback threshold.
+    /// Re-levels solved over the *entire* active set — the incremental
+    /// solver's fallback once the dirty closure passes its threshold,
+    /// and every re-level under [`crate::SolverMode::Full`].
     pub waterfill_full_runs: u64,
     /// Re-levels confined to the dirty flow/link closure
     /// ([`crate::SolverMode::Incremental`]); rates outside the closure
@@ -127,9 +83,6 @@ pub struct SimObserver {
     pub events_processed: u64,
     /// Fault events applied from the plan.
     pub fault_events: u64,
-    /// Per-fault-event re-level records with the transfer ids each event
-    /// stalled/resumed (one entry per applied fault event, in order).
-    pub fault_re_levels: Vec<FaultReLevel>,
     /// `(time, transfer)` pairs for flows frozen by a fault — either
     /// caught mid-flight by a re-partition or born stalled.
     pub stalls: Vec<(f64, u32)>,
@@ -200,7 +153,6 @@ impl SimObserver {
         ObsMark {
             stalls: self.stalls.len(),
             resumes: self.resumes.len(),
-            re_levels: self.fault_re_levels.len(),
             samples: self.heatmap.samples.len(),
         }
     }
@@ -218,12 +170,6 @@ impl SimObserver {
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
         self.events_processed += local.events_processed;
         self.fault_events += local.fault_events;
-        self.fault_re_levels
-            .extend(local.fault_re_levels.into_iter().map(|f| FaultReLevel {
-                time: f.time,
-                stalled: f.stalled.iter().map(|&t| tids[t as usize]).collect(),
-                resumed: f.resumed.iter().map(|&t| tids[t as usize]).collect(),
-            }));
         self.stalls
             .extend(local.stalls.into_iter().map(|(t, id)| (t, tids[id as usize])));
         self.resumes
@@ -248,7 +194,6 @@ impl SimObserver {
     pub(crate) fn seal_merge(&mut self, mark: ObsMark) {
         self.stalls[mark.stalls..].sort_by(|a, b| a.0.total_cmp(&b.0));
         self.resumes[mark.resumes..].sort_by(|a, b| a.0.total_cmp(&b.0));
-        self.fault_re_levels[mark.re_levels..].sort_by(|a, b| a.time.total_cmp(&b.time));
         let region = &mut self.heatmap.samples[mark.samples..];
         region.sort_by(|a, b| a.time.total_cmp(&b.time));
         for (i, s) in region.iter_mut().enumerate() {
@@ -262,7 +207,6 @@ impl SimObserver {
 pub(crate) struct ObsMark {
     stalls: usize,
     resumes: usize,
-    re_levels: usize,
     samples: usize,
 }
 
@@ -286,22 +230,6 @@ mod tests {
         assert_eq!(get("sim.waterfill_incremental_runs"), Some(7.0));
         assert_eq!(get("sim.stalls"), Some(1.0));
         assert_eq!(get("sim.transfers_undelivered"), Some(0.0));
-    }
-
-    #[test]
-    fn heatmap_csv_skips_zero_cells() {
-        let hm = LinkHeatmap {
-            samples: vec![HeatmapSample {
-                time: 1.0,
-                epoch: 1,
-                bytes_in_flight: vec![(1, 500.0)],
-            }],
-        };
-        let csv = hm.to_csv();
-        assert_eq!(csv, "epoch,time,resource,bytes_in_flight\n1,1.0,1,500.0\n");
-        assert_eq!(hm.peak(1), 500.0);
-        assert_eq!(hm.peak(0), 0.0);
-        assert_eq!(hm.len(), 1);
     }
 
     #[test]

@@ -30,10 +30,7 @@
 //!   [`crate::SimReport`] is bit-identical to an unprofiled one.
 
 use crate::graph::ResourceId;
-
-/// Sentinel binding code for "the flow's own rate cap" (the waterfill's
-/// private per-flow virtual resource).
-pub(crate) const CAP_BINDING: u32 = u32::MAX;
+use crate::waterfill::CAP_BINDING;
 
 /// The resource that fixed a flow's rate in a max-min allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,10 +113,6 @@ pub struct SimProfile {
     /// Simulation clock when the event queue drained (mirrors
     /// `SimReport::end_time`).
     pub end_time: f64,
-    /// Contention shards the run executed (1 when the whole graph was a
-    /// single component). Profiles are bit-identical at every thread
-    /// count, so this records graph structure, not scheduling.
-    pub shards: u32,
 }
 
 /// Engine-side accumulator, allocated only when profiling is requested.
@@ -212,7 +205,6 @@ impl ProfileState {
         flow_start_time: &[f64],
         stall_time: &[f64],
         end_time: f64,
-        shards: u32,
     ) -> SimProfile {
         let n = self.ready.len();
         let mut transfers = Vec::with_capacity(n);
@@ -258,7 +250,6 @@ impl ProfileState {
         SimProfile {
             transfers,
             end_time,
-            shards,
         }
     }
 }
@@ -306,7 +297,7 @@ mod tests {
         ps.note_binding(0, 3.0, 2); // unchanged: no entry
         ps.note_binding(0, 4.0, CAP_BINDING);
         ps.note_drained(0, 6.0);
-        let prof = ps.finish(&[6.5], &[2.0], &[0.0], 6.5, 1);
+        let prof = ps.finish(&[6.5], &[2.0], &[0.0], 6.5);
         let t = &prof.transfers[0];
         assert_eq!(t.ready_time, 1.0);
         assert_eq!(t.queued_before_start, 1.0);

@@ -8,10 +8,12 @@ verify: obs profile bench-smoke shard-smoke exchange sentinel
 
 # Incremental-solver smoke check: a tiny scale sweep. The binary asserts
 # full-vs-incremental bit-identity and that the dirty-set machinery
-# actually avoided full re-levels (nonzero speedup counters).
+# actually avoided full re-levels (nonzero speedup counters). The sweep
+# JSON carries host wall times, so it goes under target/obs/, not into
+# the tracked results/.
 bench-smoke:
     cargo run --release -p bgq-bench --bin scale -- --max-nodes 512 \
-        --out results/obs/scale_smoke.json
+        --out target/obs/scale_smoke.json
 
 # Sharded-determinism smoke: run the 512-node scale point at 1, 2, and
 # 8 worker threads (reports under target/obs/) and byte-diff each
