@@ -193,6 +193,34 @@ impl ExchangeSweep {
     pub fn new(max_nodes: u32) -> ExchangeSweep {
         ExchangeSweep { max_nodes }
     }
+
+    /// One table row: a point's three algorithms side by side.
+    pub fn row(p: &ExchangePoint) -> Row {
+        let direct = p.result(ExchangeAlgorithm::Direct);
+        let consensus = p.result(ExchangeAlgorithm::Consensus);
+        let multipath = p.result(ExchangeAlgorithm::ProxyMultipath);
+        Row::new(
+            vec![
+                p.nodes.to_string(),
+                p.pattern.label(),
+                p.pairs.to_string(),
+                fmt_bytes(p.payload_bytes),
+                fmt_gbs(direct.throughput),
+                fmt_gbs(consensus.throughput),
+                fmt_gbs(multipath.throughput),
+                format!("{:.2}", p.speedup()),
+                multipath.pairs_multipath.to_string(),
+                multipath.pairs_combined.to_string(),
+            ],
+            vec![
+                p.nodes as f64,
+                direct.throughput,
+                consensus.throughput,
+                multipath.throughput,
+                p.speedup(),
+            ],
+        )
+    }
 }
 
 impl Experiment for ExchangeSweep {
@@ -230,31 +258,7 @@ impl Experiment for ExchangeSweep {
     }
 
     fn run_point(&self, cache: &PlanCache, &(nodes, pattern): &Self::Point) -> Row {
-        let p = exchange_point(cache, nodes, pattern);
-        let direct = p.result(ExchangeAlgorithm::Direct);
-        let consensus = p.result(ExchangeAlgorithm::Consensus);
-        let multipath = p.result(ExchangeAlgorithm::ProxyMultipath);
-        Row::new(
-            vec![
-                p.nodes.to_string(),
-                p.pattern.label(),
-                p.pairs.to_string(),
-                fmt_bytes(p.payload_bytes),
-                fmt_gbs(direct.throughput),
-                fmt_gbs(consensus.throughput),
-                fmt_gbs(multipath.throughput),
-                format!("{:.2}", p.speedup()),
-                multipath.pairs_multipath.to_string(),
-                multipath.pairs_combined.to_string(),
-            ],
-            vec![
-                p.nodes as f64,
-                direct.throughput,
-                consensus.throughput,
-                multipath.throughput,
-                p.speedup(),
-            ],
-        )
+        ExchangeSweep::row(&exchange_point(cache, nodes, pattern))
     }
 
     fn footer(&self, rows: &[Row]) -> Option<String> {

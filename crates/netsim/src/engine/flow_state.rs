@@ -4,8 +4,10 @@
 //! completion scans use `swap_remove` (and re-examine the swapped-in
 //! slot), fault re-partitions use order-preserving `remove`, and resumed
 //! flows re-enter at the back of the active list. These exact semantics
-//! decide the order flows appear in the waterfill demand set and must
-//! not change.
+//! decide the order in which completions and stalls are handled, and so
+//! the order of the events they schedule, and must not change. They no
+//! longer decide the solve's bits: the waterfill is a function of the
+//! demand set, in any order.
 //!
 //! The set also owns per-transfer stall accounting: a flow accrues stall
 //! time from the instant a fault freezes it (or it is born stalled)

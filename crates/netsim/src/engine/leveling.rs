@@ -35,10 +35,25 @@
 //! closes over the whole active set. Results are identical whichever
 //! way a re-level goes, which `tests/incremental.rs` pins against a
 //! `Full` run.
+//!
+//! **Warm start.** In dense regimes nearly every full solve follows a
+//! full solve with only departures in between: the flows that finish
+//! are the fast ones, which progressive filling freezes last, so most of
+//! the previous solve's steps come out the same. Under
+//! [`SolverMode::Incremental`] the leveler records every full solve but
+//! a component's first and keeps the step record
+//! ([`crate::waterfill`]'s module docs) with its flows' transfer ids.
+//! While only departures follow — a join or a fault drops the
+//! record — the next full solve maps the record onto the active list
+//! (the waterfill is a function of the demand set, so the list's order
+//! does not matter), guards the departed flows' routes, and resumes
+//! from the first step that froze a departed flow. Incremental
+//! sub-solves and [`SolverMode::Full`] always solve cold, so `Full`
+//! stays the bit-for-bit oracle.
 
 use crate::config::SimConfig;
-use crate::graph::TransferSpec;
-use crate::waterfill::{FlowDemand, Waterfill};
+use crate::graph::{ResourceId, TransferSpec};
+use crate::waterfill::{FillRecord, FlowDemand, WarmStart, Waterfill, GONE};
 
 use super::flow_state::ActiveFlow;
 use super::SolverMode;
@@ -75,10 +90,61 @@ pub(crate) struct Leveler {
     /// keep their previous binding for the same reason they keep their
     /// previous rate: their contention component did not change.
     binding: Vec<u32>,
+    kept: Kept,
     /// Full re-levels performed (entire active set).
     pub full_runs: u64,
     /// Incremental re-levels performed (dirty closure only).
     pub incremental_runs: u64,
+    /// Full re-levels resumed from the previous full solve's record (a
+    /// subset of `full_runs`).
+    pub warm_runs: u64,
+}
+
+/// The last full solve's step record, kept for a warm start. Every
+/// buffer starts empty and is sized on first use.
+#[derive(Debug, Default)]
+struct Kept {
+    record: FillRecord,
+    /// Transfer ids of the recorded demands, in demand order.
+    tids: Vec<u32>,
+    /// Only departures since the record was taken: the active set is a
+    /// subset of the recorded one, under the same capacities.
+    valid: bool,
+    /// Scratch: each transfer's index in the active list.
+    pos: Vec<u32>,
+    /// Scratch: each recorded flow's active index, or `GONE`.
+    index: Vec<u32>,
+    /// Scratch: the departed flows' routes.
+    guards: Vec<ResourceId>,
+}
+
+impl Kept {
+    /// Map the record onto `active` (a full solve's demand order).
+    fn warm_start(&mut self, active: &[ActiveFlow], specs: &[TransferSpec]) -> WarmStart<'_> {
+        if self.pos.is_empty() {
+            self.pos.resize(specs.len(), GONE);
+        }
+        for &t in &self.tids {
+            self.pos[t as usize] = GONE;
+        }
+        for (i, f) in active.iter().enumerate() {
+            self.pos[f.tid as usize] = i as u32;
+        }
+        self.index.clear();
+        self.guards.clear();
+        for &t in &self.tids {
+            let i = self.pos[t as usize];
+            self.index.push(i);
+            if i == GONE {
+                self.guards.extend_from_slice(&specs[t as usize].route);
+            }
+        }
+        WarmStart {
+            record: &self.record,
+            index: &self.index,
+            guards: &self.guards,
+        }
+    }
 }
 
 impl Leveler {
@@ -94,8 +160,10 @@ impl Leveler {
             dirty_count: 0,
             sub_idx: Vec::new(),
             binding: vec![crate::waterfill::CAP_BINDING; num_transfers],
+            kept: Kept::default(),
             full_runs: 0,
             incremental_runs: 0,
+            warm_runs: 0,
         }
     }
 
@@ -116,7 +184,8 @@ impl Leveler {
 
     /// A flow entered the active set: index its route and seed the dirty
     /// set with the flow and every resource it crosses.
-    pub fn note_join(&mut self, tid: u32, route: &[crate::graph::ResourceId]) {
+    pub fn note_join(&mut self, tid: u32, route: &[ResourceId]) {
+        self.kept.valid = false;
         self.mark_flow(tid);
         for r in route {
             let ri = r.0 as usize;
@@ -128,7 +197,7 @@ impl Leveler {
     /// A flow left the active set (completed or stalled): unindex it,
     /// drop its own dirty mark (it is no longer in the demand set) and
     /// mark its route — the bandwidth it held is up for redistribution.
-    pub fn note_leave(&mut self, tid: u32, route: &[crate::graph::ResourceId]) {
+    pub fn note_leave(&mut self, tid: u32, route: &[ResourceId]) {
         if self.flow_dirty[tid as usize] {
             self.flow_dirty[tid as usize] = false;
             self.dirty_count -= 1;
@@ -142,9 +211,13 @@ impl Leveler {
         }
     }
 
-    /// A fault changed a resource's effective capacity.
-    pub fn note_caps_changed(&mut self, ri: usize) {
-        self.mark_res(ri);
+    /// A fault was applied; `changed` is the resource whose effective
+    /// capacity it changed, if any.
+    pub fn note_fault(&mut self, changed: Option<usize>) {
+        self.kept.valid = false;
+        if let Some(ri) = changed {
+            self.mark_res(ri);
+        }
     }
 
     /// The binding resource of transfer `tid` as of the last re-level
@@ -207,11 +280,12 @@ impl Leveler {
             debug_assert_eq!(self.sub_idx.len(), self.dirty_count);
         }
         self.clear_dirty();
-        self.solve(active, specs, caps, config, rates);
+        self.solve(active, specs, caps, config, rates, fallback);
     }
 
-    /// Solve the waterfill over the flows `sub_idx` names and write their
-    /// rates and bindings back; every other flow keeps its own.
+    /// Solve the waterfill over the flows `sub_idx` names (all of them
+    /// when `full`) and write their rates and bindings back; every other
+    /// flow keeps its own.
     fn solve(
         &mut self,
         active: &mut [ActiveFlow],
@@ -219,6 +293,7 @@ impl Leveler {
         caps: &[f64],
         config: &SimConfig,
         rates: &mut Vec<f64>,
+        full: bool,
     ) {
         if self.sub_idx.is_empty() {
             return;
@@ -234,13 +309,27 @@ impl Leveler {
                 }
             })
             .collect();
-        self.wf.compute_with_penalty(
-            &demands,
-            caps,
-            config.contention_penalty,
-            config.contention_floor,
-            rates,
-        );
+        let (gamma, floor) = (config.contention_penalty, config.contention_floor);
+        // A component's first full solve levels its initial flows; records
+        // are kept from the second on, so a component that levels fully
+        // only once (most shards of a wide sparse exchange) never
+        // allocates one.
+        if full && !self.full_only && self.full_runs > 1 {
+            let warm = self.kept.valid.then(|| self.kept.warm_start(active, specs));
+            if self
+                .wf
+                .compute_recorded(&demands, caps, gamma, floor, rates, warm)
+            {
+                self.warm_runs += 1;
+            }
+            std::mem::swap(&mut self.kept.record, self.wf.record_mut());
+            self.kept.tids.clear();
+            self.kept.tids.extend(active.iter().map(|f| f.tid));
+            self.kept.valid = true;
+        } else {
+            self.wf
+                .compute_with_penalty(&demands, caps, gamma, floor, rates);
+        }
         let Leveler {
             wf,
             binding,
@@ -271,7 +360,6 @@ impl Leveler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ResourceId;
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -392,11 +480,11 @@ mod tests {
         let specs: Vec<TransferSpec> = (0..10).map(|t| spec(&[t.max(4) - 4])).collect();
         let caps = [100.0; 6];
         let (mut lev, mut active) = leveled(&specs, 6);
-        lev.note_caps_changed(0);
+        lev.note_fault(Some(0));
         lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         assert_eq!((lev.full_runs, lev.incremental_runs), (1, 1));
-        lev.note_caps_changed(0);
-        lev.note_caps_changed(1);
+        lev.note_fault(Some(0));
+        lev.note_fault(Some(1));
         lev.level(&mut active, &specs, &caps, &cfg(), &mut Vec::new());
         assert_eq!((lev.full_runs, lev.incremental_runs), (2, 1));
     }
@@ -449,6 +537,45 @@ mod tests {
             }
         }
         inc
+    }
+
+    #[test]
+    fn departures_warm_start_until_a_join_or_a_fault() {
+        // Link 2 carries flows 0..=3 and pops first at 25; link 0 then
+        // shares its remaining 75 among flows 4..=6. Every departure
+        // closes over the whole set, so every re-level is a full solve.
+        let specs = vec![
+            spec(&[2]),
+            spec(&[2]),
+            spec(&[2]),
+            spec(&[2, 0]),
+            spec(&[0]),
+            spec(&[0]),
+            spec(&[0]),
+        ];
+        let caps = [100.0; 3];
+        let (mut lev, mut active) = leveled(&specs, 3);
+        let leave = |lev: &mut Leveler, active: &mut Vec<ActiveFlow>, tid: u32| {
+            lev.note_leave(tid, &specs[tid as usize].route);
+            active.retain(|f| f.tid != tid);
+            lev.level(active, &specs, &caps, &cfg(), &mut Vec::new());
+            (lev.full_runs, lev.warm_runs)
+        };
+        // The first full solve kept no record; the second does.
+        assert_eq!(leave(&mut lev, &mut active, 6), (2, 0));
+        // Flow 5 froze in link 0's step: link 2's step replays.
+        assert_eq!(leave(&mut lev, &mut active, 5), (3, 1));
+        assert_eq!(
+            active.iter().map(|f| f.rate).collect::<Vec<_>>(),
+            [25.0, 25.0, 25.0, 25.0, 75.0]
+        );
+        // A fault drops the record, even one that changed no capacity.
+        lev.note_fault(None);
+        assert_eq!(leave(&mut lev, &mut active, 4), (4, 1));
+        // So does a join.
+        lev.note_join(5, &specs[5].route);
+        active.push(flow(5));
+        assert_eq!(leave(&mut lev, &mut active, 0), (5, 1));
     }
 
     #[test]

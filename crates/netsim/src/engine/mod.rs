@@ -679,9 +679,7 @@ fn run_component(
             Event::Fault(fi) => {
                 let fs = fstate.as_mut().expect("fault event without a plan");
                 let kind = &fault_events[fi as usize].kind;
-                if let Some(ri) = fs.apply(kind, caps) {
-                    leveler.note_caps_changed(ri);
-                }
+                leveler.note_fault(fs.apply(kind, caps));
                 if let FaultKind::NodeUp { node } = *kind {
                     let ni = node as usize;
                     // Re-ready injections parked while down (in
@@ -812,6 +810,7 @@ fn run_component(
     if let Some(o) = obs {
         o.waterfill_full_runs += leveler.full_runs;
         o.waterfill_incremental_runs += leveler.incremental_runs;
+        o.waterfill_warm_runs += leveler.warm_runs;
     }
     let (stall_time, stalled_at_drain) = flows.close(now);
     ComponentRun {

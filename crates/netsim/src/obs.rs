@@ -78,6 +78,10 @@ pub struct SimObserver {
     /// ([`crate::SolverMode::Incremental`]); rates outside the closure
     /// were reused unchanged.
     pub waterfill_incremental_runs: u64,
+    /// Full re-levels resumed from the previous full solve's step
+    /// record instead of solved from scratch (a subset of
+    /// `waterfill_full_runs`; [`crate::SolverMode::Incremental`] only).
+    pub waterfill_warm_runs: u64,
     /// Events popped from the engine's queue (the denominator for
     /// events/sec in scaling sweeps).
     pub events_processed: u64,
@@ -138,6 +142,10 @@ impl SimObserver {
                 self.waterfill_incremental_runs as f64,
             ),
             ("waterfill_runs".to_string(), self.waterfill_runs as f64),
+            (
+                "waterfill_warm_runs".to_string(),
+                self.waterfill_warm_runs as f64,
+            ),
         ];
         for (name, _) in &mut out {
             *name = format!("{prefix}{name}");
@@ -168,6 +176,7 @@ impl SimObserver {
         self.waterfill_runs += local.waterfill_runs;
         self.waterfill_full_runs += local.waterfill_full_runs;
         self.waterfill_incremental_runs += local.waterfill_incremental_runs;
+        self.waterfill_warm_runs += local.waterfill_warm_runs;
         self.events_processed += local.events_processed;
         self.fault_events += local.fault_events;
         self.stalls
@@ -220,6 +229,7 @@ mod tests {
         obs.waterfill_runs = 10;
         obs.waterfill_full_runs = 3;
         obs.waterfill_incremental_runs = 7;
+        obs.waterfill_warm_runs = 2;
         obs.stalls.push((1.0, 4));
         let s = obs.scalars("sim.");
         assert!(s.iter().all(|(k, _)| k.starts_with("sim.")));
@@ -228,6 +238,7 @@ mod tests {
         assert_eq!(get("sim.waterfill_runs"), Some(10.0));
         assert_eq!(get("sim.waterfill_full_runs"), Some(3.0));
         assert_eq!(get("sim.waterfill_incremental_runs"), Some(7.0));
+        assert_eq!(get("sim.waterfill_warm_runs"), Some(2.0));
         assert_eq!(get("sim.stalls"), Some(1.0));
         assert_eq!(get("sim.transfers_undelivered"), Some(0.0));
     }

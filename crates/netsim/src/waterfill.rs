@@ -34,6 +34,39 @@
 //! freezing kills it), so its key stays `(cap, 0, num_resources + flow)`.
 //! The caps live outside the heap in one list sorted by that key; each
 //! step merges the list's head with the heap's top under the same order.
+//! When the head cap wins, every unfixed flow whose cap equals it freezes
+//! in that one step — a *cap run* — just as a bottleneck pop freezes all
+//! of its flows at once.
+//!
+//! # Order-free
+//!
+//! Every flow a step freezes subtracts the same rate from each resource
+//! it crosses, so a step has the same effect in any member order, and a
+//! resource's version is the number of its flows frozen so far. The keys
+//! therefore depend only on which flows are frozen, and the step
+//! sequence, the rates and the bindings are functions of the demand
+//! *set*: permuting the demands permutes the output, bit for bit. Equal
+//! caps frozen one at a time would break this, because rounding can drop
+//! a resource's share below the shared cap between two of them, and
+//! which of the two froze first would decide the next pop.
+//!
+//! # Record and warm start
+//!
+//! [`Waterfill::compute_recorded`] records a compute's steps: each
+//! step's key and the flows it froze, in freeze order. Given a
+//! [`WarmStart`], it resumes from such a record when the new demand set
+//! is the recorded one minus some departed flows D, under the same
+//! capacities and penalty. Before the first step that froze a flow of
+//! D, no resource on D's routes (a *guard*) has popped, and removing D
+//! changes only the guards' keys — in exact arithmetic it raises them.
+//! So those steps are replayed without the heap: subtract each frozen
+//! flow's rate along its route and bump versions, in the recorded
+//! order. Every step's key is first checked against the least live
+//! guard key, which is recomputed only when a replayed freeze touches a
+//! guard; a guard below a step's key (float rounding) resets the call
+//! to a cold solve. The live resources are then heapified under their
+//! current keys and the lazy loop finishes the solve, so a warm start
+//! returns the cold bits.
 //!
 //! Resource membership is a CSR table (flat offsets plus a member array)
 //! built in demand order, and every buffer is scratch kept across calls.
@@ -48,6 +81,9 @@ mod reference;
 /// Per-flow binding code reported by [`Waterfill::bindings`] when the
 /// flow's own rate cap (its private virtual resource) fixed its rate.
 pub const CAP_BINDING: u32 = u32::MAX;
+
+/// [`WarmStart::index`] entry of a recorded flow that departed.
+pub(crate) const GONE: u32 = u32::MAX;
 
 /// One flow's demand: its route and rate cap.
 #[derive(Debug, Clone, Copy)]
@@ -72,6 +108,77 @@ struct Slot {
     /// The resource's member range in `Waterfill::members`.
     start: u32,
     end: u32,
+    /// A departed flow crossed the resource (warm-start replay only).
+    guard: bool,
+}
+
+impl Slot {
+    /// Reset to the start of a call: every member unfixed, and the
+    /// capacity derated by the arbitration penalty for that many sharers
+    /// (private per-flow caps are not links and are never derated).
+    fn restart(&mut self, capacity: f64, penalty: f64, floor: f64) {
+        self.count = self.end - self.start;
+        self.version = 0;
+        self.remaining = capacity;
+        if penalty > 0.0 && floor < 1.0 && self.count > 1 {
+            let eff = (1.0 / (1.0 + penalty * (self.count - 1) as f64)).max(floor);
+            self.remaining *= eff;
+        }
+    }
+
+    fn share(&self) -> f64 {
+        self.remaining.max(0.0) / self.count as f64
+    }
+
+    /// The current key of live resource `ri`.
+    fn key(&self, ri: u32) -> HeapEntry {
+        HeapEntry {
+            share: Share(self.share()),
+            version: self.version,
+            resource: ri,
+        }
+    }
+}
+
+/// One filling step of a recorded compute.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// The step's key: `(share, version, resource)` of a bottleneck pop,
+    /// or `(cap, 0, CAP_BINDING)` for a cap run. Its share is the rate
+    /// the step's flows froze at and its resource their binding.
+    key: HeapEntry,
+    /// End of the step's flows in [`FillRecord::frozen`].
+    end: u32,
+}
+
+/// The step sequence of one compute (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct FillRecord {
+    steps: Vec<Step>,
+    /// Demand indices in freeze order: step `k` froze
+    /// `frozen[steps[k - 1].end..steps[k].end]`. Every flow freezes
+    /// once, so its position here names its freeze step.
+    frozen: Vec<u32>,
+}
+
+impl FillRecord {
+    fn clear(&mut self) {
+        self.steps.clear();
+        self.frozen.clear();
+    }
+}
+
+/// What [`Waterfill::compute_recorded`] resumes from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WarmStart<'a> {
+    /// A compute over the new demands plus the departed ones, under the
+    /// same capacities and contention penalty.
+    pub record: &'a FillRecord,
+    /// For each recorded flow (by its recorded demand index), its index
+    /// in the new demand slice, or [`GONE`] if it departed.
+    pub index: &'a [u32],
+    /// The resources the departed flows cross.
+    pub guards: &'a [ResourceId],
 }
 
 /// Reusable scratch state for water-filling computations.
@@ -93,6 +200,11 @@ pub struct Waterfill {
     caps: Vec<(Share, u32)>,
     fixed: Vec<bool>,
     binding: Vec<u32>,
+    /// Steps of the most recent compute, when it was recorded.
+    record: FillRecord,
+    recording: bool,
+    /// Live guard resources of a warm-start replay.
+    guards: Vec<u32>,
 }
 
 impl Waterfill {
@@ -108,6 +220,9 @@ impl Waterfill {
             caps: Vec::new(),
             fixed: Vec::new(),
             binding: Vec::new(),
+            record: FillRecord::default(),
+            recording: false,
+            guards: Vec::new(),
         }
     }
 
@@ -119,6 +234,13 @@ impl Waterfill {
     /// free.
     pub fn bindings(&self) -> &[u32] {
         &self.binding
+    }
+
+    /// The step record of the most recent
+    /// [`compute_recorded`](Self::compute_recorded) (empty after any other
+    /// compute). Swap it out to keep it past the next call.
+    pub(crate) fn record_mut(&mut self) -> &mut FillRecord {
+        &mut self.record
     }
 
     /// Compute max-min fair rates with ideal sharing (no contention
@@ -155,6 +277,54 @@ impl Waterfill {
         contention_floor: f64,
         rates: &mut Vec<f64>,
     ) {
+        self.recording = false;
+        self.fill(
+            flows,
+            capacities,
+            contention_penalty,
+            contention_floor,
+            rates,
+            None,
+        );
+    }
+
+    /// [`compute_with_penalty`](Self::compute_with_penalty) that records
+    /// its steps, resumed from `warm`'s record where it is valid (see the
+    /// module docs). The output is the cold solve's, bit for bit,
+    /// provided the capacities and penalty are those of the recorded
+    /// compute on every resource but the guards. Returns whether any
+    /// recorded step was replayed: false without `warm`, when the record
+    /// does not fit the demands, when the first step already froze a
+    /// departed flow, or when a guard aborted the replay.
+    pub(crate) fn compute_recorded(
+        &mut self,
+        flows: &[FlowDemand<'_>],
+        capacities: &[f64],
+        contention_penalty: f64,
+        contention_floor: f64,
+        rates: &mut Vec<f64>,
+        warm: Option<WarmStart<'_>>,
+    ) -> bool {
+        self.recording = true;
+        self.fill(
+            flows,
+            capacities,
+            contention_penalty,
+            contention_floor,
+            rates,
+            warm,
+        )
+    }
+
+    fn fill(
+        &mut self,
+        flows: &[FlowDemand<'_>],
+        capacities: &[f64],
+        contention_penalty: f64,
+        contention_floor: f64,
+        rates: &mut Vec<f64>,
+        warm: Option<WarmStart<'_>>,
+    ) -> bool {
         assert!(
             capacities.len() >= self.num_resources,
             "capacity table smaller than resource space"
@@ -171,14 +341,15 @@ impl Waterfill {
         rates.resize(flows.len(), 0.0);
         self.binding.clear();
         self.binding.resize(flows.len(), CAP_BINDING);
+        self.record.clear();
         if flows.is_empty() {
-            return;
+            return false;
         }
 
         let nr = self.num_resources;
         debug_assert!(self.touched.is_empty());
 
-        // Populate per-resource state for the resources in use, and the
+        // Count the flows on each resource in use, and collect the
         // private cap of every flow.
         self.caps.clear();
         for (fi, f) in flows.iter().enumerate() {
@@ -188,9 +359,10 @@ impl Waterfill {
                 assert!(ri < nr, "route references unknown resource {ri}");
                 let slot = &mut self.slots[ri];
                 if slot.count == 0 {
-                    let c = capacities[ri];
-                    assert!(c > 0.0, "resource {ri} has non-positive capacity");
-                    slot.remaining = c;
+                    assert!(
+                        capacities[ri] > 0.0,
+                        "resource {ri} has non-positive capacity"
+                    );
                     self.touched.push(ri as u32);
                 }
                 slot.count += 1;
@@ -219,43 +391,54 @@ impl Waterfill {
                 slot.end += 1;
             }
         }
-
-        // Derate shared real resources by the arbitration penalty (private
-        // per-flow caps are not links and are never derated).
-        if contention_penalty > 0.0 && contention_floor < 1.0 {
-            for &ri in &self.touched {
-                let slot = &mut self.slots[ri as usize];
-                if slot.count > 1 {
-                    let eff = (1.0
-                        / (1.0 + contention_penalty * (slot.count - 1) as f64))
-                        .max(contention_floor);
-                    slot.remaining *= eff;
-                }
-            }
-        }
-
-        // One lazily keyed heap entry per real resource, heapified in
-        // one pass into the recycled buffer.
-        let mut entries = std::mem::take(&mut self.heap).into_vec();
-        entries.clear();
         for &ri in &self.touched {
-            let slot = &mut self.slots[ri as usize];
-            let share = slot.remaining.max(0.0) / slot.count as f64;
-            slot.heap_share = share;
-            slot.heap_version = slot.version;
-            entries.push(Reverse(HeapEntry {
-                share: Share(share),
-                version: slot.version,
-                resource: ri,
-            }));
+            let ri = ri as usize;
+            self.slots[ri].restart(capacities[ri], contention_penalty, contention_floor);
         }
-        self.heap = BinaryHeap::from(entries);
 
         self.fixed.clear();
         self.fixed.resize(flows.len(), false);
         let mut unfixed = flows.len();
-        let mut next_cap = 0;
+        let mut resumed = false;
+        if let Some(warm) = warm {
+            match self.replay(flows, warm, rates) {
+                Some(n) => {
+                    unfixed -= n;
+                    resumed = n > 0;
+                }
+                None => {
+                    // Back to the call's start (rates and bindings are
+                    // all rewritten by the cold solve).
+                    for &ri in &self.touched {
+                        let ri = ri as usize;
+                        self.slots[ri].restart(
+                            capacities[ri],
+                            contention_penalty,
+                            contention_floor,
+                        );
+                    }
+                    self.fixed.fill(false);
+                    self.record.clear();
+                }
+            }
+        }
 
+        // One lazily keyed heap entry per live real resource, heapified
+        // in one pass into the recycled buffer.
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
+        for &ri in &self.touched {
+            let slot = &mut self.slots[ri as usize];
+            if slot.count > 0 {
+                let key = slot.key(ri);
+                slot.heap_share = key.share.0;
+                slot.heap_version = key.version;
+                entries.push(Reverse(key));
+            }
+        }
+        self.heap = BinaryHeap::from(entries);
+
+        let mut next_cap = 0;
         while unfixed > 0 {
             // Every unfixed flow's cap is at or after `next_cap`.
             while self.fixed[self.caps[next_cap].1 as usize] {
@@ -273,10 +456,23 @@ impl Waterfill {
                 .is_some_and(|Reverse(top)| *top < cap_key);
             if !real_first {
                 // The cap key is below every real resource's heap key,
-                // hence below every real resource's current key.
-                next_cap += 1;
-                self.freeze(flows, cap_flow as usize, cap.0, CAP_BINDING, rates);
-                unfixed -= 1;
+                // hence below every real resource's current key: freeze
+                // the whole run of unfixed flows capped at `cap`.
+                while let Some(&(c, fi)) = self.caps.get(next_cap) {
+                    if c != cap {
+                        break;
+                    }
+                    next_cap += 1;
+                    if !self.fixed[fi as usize] {
+                        self.freeze(flows, fi as usize, cap.0, CAP_BINDING, rates);
+                        unfixed -= 1;
+                    }
+                }
+                self.end_step(HeapEntry {
+                    share: cap,
+                    version: 0,
+                    resource: CAP_BINDING,
+                });
                 continue;
             }
 
@@ -291,18 +487,14 @@ impl Waterfill {
                 // back under the current key; otherwise a lower key was
                 // pushed since and this entry is dead.
                 if entry.version == slot.heap_version {
-                    let share = slot.remaining.max(0.0) / slot.count as f64;
-                    slot.heap_share = share;
-                    slot.heap_version = slot.version;
-                    self.heap.push(Reverse(HeapEntry {
-                        share: Share(share),
-                        version: slot.version,
-                        resource: entry.resource,
-                    }));
+                    let key = slot.key(entry.resource);
+                    slot.heap_share = key.share.0;
+                    slot.heap_version = key.version;
+                    self.heap.push(Reverse(key));
                 }
                 continue;
             }
-            let s = slot.remaining.max(0.0) / slot.count as f64;
+            let s = slot.share();
 
             // Freeze every unfixed flow crossing this bottleneck at s.
             let (start, end) = (slot.start as usize, slot.end as usize);
@@ -315,6 +507,7 @@ impl Waterfill {
                 }
             }
             debug_assert_eq!(self.slots[ri].count, 0, "bottleneck must drain completely");
+            self.end_step(entry);
         }
 
         // Reset scratch for the next call (every count is already back to
@@ -330,6 +523,98 @@ impl Waterfill {
         }
         self.touched.clear();
         self.heap.clear();
+        resumed
+    }
+
+    /// Replay `warm`'s steps up to the first that froze a departed flow,
+    /// without the heap. Returns the number of flows frozen, or `None`
+    /// when the record does not fit the demands or a guard's key fell
+    /// below a step's key; the caller then restarts the call cold.
+    fn replay(
+        &mut self,
+        flows: &[FlowDemand<'_>],
+        warm: WarmStart<'_>,
+        rates: &mut [f64],
+    ) -> Option<usize> {
+        let WarmStart {
+            record,
+            index,
+            guards,
+        } = warm;
+        if index.len() != record.frozen.len()
+            || index.iter().filter(|&&i| i != GONE).count() != flows.len()
+        {
+            return None;
+        }
+        for r in guards {
+            if let Some(slot) = self.slots.get_mut(r.0 as usize) {
+                if slot.count > 0 && !slot.guard {
+                    slot.guard = true;
+                    self.guards.push(r.0);
+                }
+            }
+        }
+        let mut guard_min = self.guard_min();
+        let mut frozen = Some(0);
+        let mut begin = 0;
+        'steps: for step in &record.steps {
+            let members = &record.frozen[begin..step.end as usize];
+            if members.iter().any(|&j| index[j as usize] == GONE) {
+                break; // resume here, with the heap
+            }
+            if guard_min.is_some_and(|g| g < step.key) {
+                frozen = None;
+                break;
+            }
+            let mut touched_guard = false;
+            for &j in members {
+                let fi = index[j as usize] as usize;
+                if self.fixed.get(fi) != Some(&false) {
+                    frozen = None;
+                    break 'steps;
+                }
+                touched_guard |= self.settle(flows, fi, step.key.share.0, step.key.resource, rates);
+            }
+            self.end_step(step.key);
+            frozen = frozen.map(|n| n + members.len());
+            begin = step.end as usize;
+            if touched_guard {
+                guard_min = self.guard_min();
+            }
+        }
+        for &g in &self.guards {
+            self.slots[g as usize].guard = false;
+        }
+        self.guards.clear();
+        frozen
+    }
+
+    /// The least current key over the live guards.
+    fn guard_min(&self) -> Option<HeapEntry> {
+        self.guards
+            .iter()
+            .map(|&g| (g, &self.slots[g as usize]))
+            .filter(|(_, slot)| slot.count > 0)
+            .map(|(g, slot)| slot.key(g))
+            .min()
+    }
+
+    /// Close the current step under `key` in the record.
+    fn end_step(&mut self, key: HeapEntry) {
+        if self.recording {
+            let end = self.record.frozen.len() as u32;
+            self.record.steps.push(Step { key, end });
+        }
+    }
+
+    /// Fix flow `fi` at rate `s`, bound by `binding`.
+    fn fix(&mut self, fi: usize, s: f64, binding: u32, rates: &mut [f64]) {
+        self.fixed[fi] = true;
+        rates[fi] = s;
+        self.binding[fi] = binding;
+        if self.recording {
+            self.record.frozen.push(fi as u32);
+        }
     }
 
     /// Fix flow `fi` at rate `s` and take it off every resource on its
@@ -343,27 +628,43 @@ impl Waterfill {
         binding: u32,
         rates: &mut [f64],
     ) {
-        self.fixed[fi] = true;
-        rates[fi] = s;
-        self.binding[fi] = binding;
+        self.fix(fi, s, binding, rates);
         for r in flows[fi].route {
             let slot = &mut self.slots[r.0 as usize];
             slot.remaining -= s;
             slot.count -= 1;
             slot.version = slot.version.wrapping_add(1);
             if slot.count > 0 {
-                let share = slot.remaining.max(0.0) / slot.count as f64;
-                if Share(share) < Share(slot.heap_share) {
-                    slot.heap_share = share;
-                    slot.heap_version = slot.version;
-                    self.heap.push(Reverse(HeapEntry {
-                        share: Share(share),
-                        version: slot.version,
-                        resource: r.0,
-                    }));
+                let key = slot.key(r.0);
+                if key.share < Share(slot.heap_share) {
+                    slot.heap_share = key.share.0;
+                    slot.heap_version = key.version;
+                    self.heap.push(Reverse(key));
                 }
             }
         }
+    }
+
+    /// [`freeze`](Self::freeze) for a replayed step: no heap exists yet.
+    /// Returns whether the route crosses a guard.
+    fn settle(
+        &mut self,
+        flows: &[FlowDemand<'_>],
+        fi: usize,
+        s: f64,
+        binding: u32,
+        rates: &mut [f64],
+    ) -> bool {
+        self.fix(fi, s, binding, rates);
+        let mut guard = false;
+        for r in flows[fi].route {
+            let slot = &mut self.slots[r.0 as usize];
+            slot.remaining -= s;
+            slot.count -= 1;
+            slot.version = slot.version.wrapping_add(1);
+            guard |= slot.guard;
+        }
+        guard
     }
 }
 
@@ -402,12 +703,8 @@ mod tests {
 
     fn run(num_res: usize, caps: &[f64], flows: &[(Vec<ResourceId>, f64)]) -> Vec<f64> {
         let mut wf = Waterfill::new(num_res);
-        let demands: Vec<FlowDemand> = flows
-            .iter()
-            .map(|(r, c)| FlowDemand { route: r, cap: *c })
-            .collect();
         let mut rates = Vec::new();
-        wf.compute(&demands, caps, &mut rates);
+        wf.compute(&demands(flows), caps, &mut rates);
         rates
     }
 
@@ -633,59 +930,90 @@ mod tests {
         flows: &[(Vec<ResourceId>, f64)],
         penalty: (f64, f64),
     ) -> Vec<f64> {
-        let demands: Vec<FlowDemand> = flows
-            .iter()
-            .map(|(r, c)| FlowDemand { route: r, cap: *c })
-            .collect();
+        let demands = demands(flows);
         let (mut got, mut want) = (Vec::new(), Vec::new());
         wf.compute_with_penalty(&demands, caps, penalty.0, penalty.1, &mut got);
         eager.compute_with_penalty(&demands, caps, penalty.0, penalty.1, &mut want);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&want), "rates differ on {flows:?} / {caps:?}");
         assert_eq!(wf.bindings(), eager.bindings(), "bindings differ on {flows:?}");
         got
     }
 
-    #[test]
-    fn lazy_kernel_matches_eager_reference_bit_for_bit() {
-        const NR: usize = 8;
+    /// Resource-space size of the random cases.
+    const NR: usize = 8;
+
+    /// One random case for the kernel comparisons: capacities, demands
+    /// (some routes repeat a resource) and a contention penalty.
+    #[allow(clippy::type_complexity)]
+    fn random_case(
+        rng: &mut Rng,
+        case: usize,
+    ) -> (Vec<f64>, Vec<(Vec<ResourceId>, f64)>, (f64, f64)) {
         // A small palette makes link shares and caps tie often.
         const PALETTE: [f64; 6] = [1.0, 2.0, 3.0, 10.0, 0.7, 6.0];
         const PENALTIES: [(f64, f64); 4] = [(0.0, 1.0), (0.5, 0.5), (0.25, 0.8), (1.0, 0.1)];
+        let nr = 1 + rng.below(NR);
+        let caps: Vec<f64> = (0..NR)
+            .map(|_| match rng.below(2) {
+                0 => PALETTE[rng.below(PALETTE.len())],
+                _ => 0.05 + 20.0 * rng.unit(),
+            })
+            .collect();
+        let cap_mode = rng.below(3);
+        let equal_cap = PALETTE[rng.below(PALETTE.len())];
+        let flows: Vec<(Vec<ResourceId>, f64)> = (0..1 + rng.below(40))
+            .map(|_| {
+                let mut route: Vec<ResourceId> = (0..rng.below(5))
+                    .map(|_| ResourceId(rng.below(nr) as u32))
+                    .collect();
+                if !route.is_empty() && rng.below(4) == 0 {
+                    route.push(route[0]);
+                }
+                let cap = match cap_mode {
+                    0 => equal_cap,
+                    1 => PALETTE[rng.below(PALETTE.len())] / 4.0,
+                    _ => 0.01 + 10.0 * rng.unit(),
+                };
+                (route, cap)
+            })
+            .collect();
+        (caps, flows, PENALTIES[case % PENALTIES.len()])
+    }
+
+    fn demands(flows: &[(Vec<ResourceId>, f64)]) -> Vec<FlowDemand<'_>> {
+        flows
+            .iter()
+            .map(|(r, c)| FlowDemand { route: r, cap: *c })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random permutation of `0..n`.
+    fn shuffled(rng: &mut Rng, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, rng.below(i + 1));
+        }
+        p
+    }
+
+    #[test]
+    fn lazy_kernel_matches_eager_reference_bit_for_bit() {
         let mut rng = Rng(2014);
         let mut wf = Waterfill::new(NR);
         let mut eager = reference::EagerWaterfill::new(NR);
         let (mut repeated, mut mixed_bindings) = (0, 0);
         for case in 0..4000 {
-            let nr = 1 + rng.below(NR);
-            let caps: Vec<f64> = (0..NR)
-                .map(|_| match rng.below(2) {
-                    0 => PALETTE[rng.below(PALETTE.len())],
-                    _ => 0.05 + 20.0 * rng.unit(),
-                })
-                .collect();
-            let cap_mode = rng.below(3);
-            let equal_cap = PALETTE[rng.below(PALETTE.len())];
-            let flows: Vec<(Vec<ResourceId>, f64)> = (0..1 + rng.below(40))
-                .map(|_| {
-                    let mut route: Vec<ResourceId> = (0..rng.below(5))
-                        .map(|_| ResourceId(rng.below(nr) as u32))
-                        .collect();
-                    if !route.is_empty() && rng.below(4) == 0 {
-                        route.push(route[0]);
-                    }
-                    let cap = match cap_mode {
-                        0 => equal_cap,
-                        1 => PALETTE[rng.below(PALETTE.len())] / 4.0,
-                        _ => 0.01 + 10.0 * rng.unit(),
-                    };
-                    (route, cap)
-                })
-                .collect();
-            if flows.iter().any(|(r, _)| (1..r.len()).any(|i| r[i..].contains(&r[i - 1]))) {
+            let (caps, flows, penalty) = random_case(&mut rng, case);
+            if flows
+                .iter()
+                .any(|(r, _)| (1..r.len()).any(|i| r[i..].contains(&r[i - 1])))
+            {
                 repeated += 1;
             }
-            let penalty = PENALTIES[case % PENALTIES.len()];
             assert_matches_reference(&mut wf, &mut eager, &caps, &flows, penalty);
             let b = wf.bindings();
             if b.contains(&CAP_BINDING) && b.iter().any(|&x| x != CAP_BINDING) {
@@ -694,6 +1022,200 @@ mod tests {
         }
         assert!(repeated > 100, "too few routes repeat a resource: {repeated}");
         assert!(mixed_bindings > 100, "too few cap/link mixes: {mixed_bindings}");
+    }
+
+    #[test]
+    fn demands_in_any_order_get_the_same_bits() {
+        // The property the warm start rests on: rates and bindings are a
+        // function of the demand set, whatever order it comes in.
+        let mut rng = Rng(7);
+        let mut wf = Waterfill::new(NR);
+        let (mut rates, mut permuted) = (Vec::new(), Vec::new());
+        for case in 0..3000 {
+            let (caps, flows, (gamma, floor)) = random_case(&mut rng, case);
+            let ds = demands(&flows);
+            wf.compute_with_penalty(&ds, &caps, gamma, floor, &mut rates);
+            let bindings = wf.bindings().to_vec();
+            for _ in 0..3 {
+                let perm = shuffled(&mut rng, ds.len());
+                let pds: Vec<FlowDemand> = perm.iter().map(|&i| ds[i]).collect();
+                wf.compute_with_penalty(&pds, &caps, gamma, floor, &mut permuted);
+                for (k, &i) in perm.iter().enumerate() {
+                    assert_eq!(
+                        permuted[k].to_bits(),
+                        rates[i].to_bits(),
+                        "rate of flow {i} in {flows:?}"
+                    );
+                    assert_eq!(
+                        wf.bindings()[k],
+                        bindings[i],
+                        "binding of flow {i} in {flows:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_caps_freeze_as_one_step() {
+        // Freezing one of c flows at their share q can drop the share
+        // one rounding below q (see the test below). Find a capacity
+        // whose residual does that after a tiny cap flow Z froze first.
+        const Z: f64 = 1.0 / 1024.0;
+        let (cap, c) = (1..=1000)
+            .flat_map(|k| (3..=64u32).map(move |c| (1.0 + k as f64 / 997.0, c)))
+            .find(|&(cap, c)| {
+                let rem = cap - Z;
+                let q = rem / c as f64;
+                (rem - q) / ((c - 1) as f64) < q
+            })
+            .expect("some residual rounds the share down");
+        let q = (cap - Z) / c as f64;
+
+        // Resource 0 carries Z and c more flows; A and B are capped at
+        // exactly q. Z freezes first, so the link's key is (q, 1, 0) and
+        // the caps (q, 0, ·) win the tie. Freezing A alone would drop
+        // the link below q and let it pop before B; as one cap run, A
+        // and B both freeze at q.
+        let z = (rid(&[0]), Z);
+        let a = (rid(&[0]), q);
+        let b = (rid(&[0]), q);
+        let mut flows = vec![z, a, b];
+        flows.extend((2..c).map(|_| (rid(&[0]), 1e9)));
+        let mut wf = Waterfill::new(1);
+        let mut eager = reference::EagerWaterfill::new(1);
+        let rates = assert_matches_reference(&mut wf, &mut eager, &[cap], &flows, (0.0, 1.0));
+        assert_eq!(bits(&rates[1..3]), bits(&[q, q]));
+        assert_eq!(
+            wf.bindings()[..4],
+            [CAP_BINDING, CAP_BINDING, CAP_BINDING, 0]
+        );
+    }
+
+    /// Drop the flows `gone` marks from `flows`, shuffle the rest, and
+    /// solve them warm from `record` (the full set's) and cold: the bits
+    /// must agree. Returns whether the warm solve replayed any step.
+    fn assert_warm_matches_cold(
+        rng: &mut Rng,
+        record: &FillRecord,
+        caps: &[f64],
+        flows: &[(Vec<ResourceId>, f64)],
+        gone: &[bool],
+        (gamma, floor): (f64, f64),
+    ) -> bool {
+        let kept: Vec<usize> = (0..flows.len()).filter(|&i| !gone[i]).collect();
+        let order = shuffled(rng, kept.len());
+        let mut index = vec![GONE; flows.len()];
+        for (k, &o) in order.iter().enumerate() {
+            index[kept[o]] = k as u32;
+        }
+        let left: Vec<(Vec<ResourceId>, f64)> =
+            order.iter().map(|&o| flows[kept[o]].clone()).collect();
+        let guards: Vec<ResourceId> = (0..flows.len())
+            .filter(|&i| gone[i])
+            .flat_map(|i| flows[i].0.iter().copied())
+            .collect();
+        let (mut cold, mut warm) = (Waterfill::new(caps.len()), Waterfill::new(caps.len()));
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        let ds = demands(&left);
+        cold.compute_recorded(&ds, caps, gamma, floor, &mut want, None);
+        let start = WarmStart {
+            record,
+            index: &index,
+            guards: &guards,
+        };
+        let resumed = warm.compute_recorded(&ds, caps, gamma, floor, &mut got, Some(start));
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "warm rates differ on {flows:?} minus {gone:?}"
+        );
+        assert_eq!(
+            warm.bindings(),
+            cold.bindings(),
+            "warm bindings differ on {flows:?}"
+        );
+        let keys = |wf: &Waterfill| wf.record.steps.iter().map(|s| s.key).collect::<Vec<_>>();
+        assert_eq!(keys(&warm), keys(&cold), "warm step sequence differs");
+        resumed
+    }
+
+    /// Solve `flows` cold and take its record.
+    fn record_of(
+        caps: &[f64],
+        flows: &[(Vec<ResourceId>, f64)],
+        (gamma, floor): (f64, f64),
+    ) -> FillRecord {
+        let mut wf = Waterfill::new(caps.len());
+        let ds = demands(flows);
+        wf.compute_recorded(&ds, caps, gamma, floor, &mut Vec::new(), None);
+        std::mem::take(wf.record_mut())
+    }
+
+    #[test]
+    fn warm_start_replays_to_the_cold_bits() {
+        let mut rng = Rng(5);
+        let (mut resumed, mut cases) = (0, 0);
+        for case in 0..3000 {
+            let (caps, flows, penalty) = random_case(&mut rng, case);
+            if flows.len() < 2 {
+                continue;
+            }
+            let record = record_of(&caps, &flows, penalty);
+            // Drop one to three random flows.
+            let mut gone = vec![false; flows.len()];
+            for _ in 0..1 + rng.below(3) {
+                gone[rng.below(flows.len())] = true;
+            }
+            cases += 1;
+            if assert_warm_matches_cold(&mut rng, &record, &caps, &flows, &gone, penalty) {
+                resumed += 1;
+            }
+        }
+        assert!(
+            resumed * 3 > cases,
+            "too few warm starts replayed a step: {resumed} of {cases}"
+        );
+    }
+
+    #[test]
+    fn warm_start_falls_back_cold_on_a_bad_record_or_a_guard() {
+        // Y (cap 1) crosses links 0 and 1; X and Z ride link 0 alone.
+        // Link 0 (10 / 3) is above Y's cap, so the record is: Y's cap
+        // run at 1, then link 0 at 4.5 freezing X and Z.
+        let flows = vec![(rid(&[0]), 1e9), (rid(&[0, 1]), 1.0), (rid(&[0]), 1e9)];
+        let record = record_of(&[10.0, 100.0], &flows, (0.0, 1.0));
+        assert_eq!(record.steps.len(), 2);
+        let left = vec![flows[1].clone(), flows[2].clone()];
+        let ds = demands(&left);
+        let x_route = rid(&[0]);
+        let solve = |caps: &[f64], index: &[u32]| {
+            let (mut cold, mut warm) = (Waterfill::new(2), Waterfill::new(2));
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            cold.compute(&ds, caps, &mut want);
+            let start = WarmStart {
+                record: &record,
+                index,
+                guards: &x_route,
+            };
+            let resumed = warm.compute_recorded(&ds, caps, 0.0, 1.0, &mut got, Some(start));
+            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(warm.bindings(), cold.bindings());
+            (resumed, got)
+        };
+
+        // X departs: Y's step replays, and link 0 then gives Z 9.
+        assert_eq!(solve(&[10.0, 100.0], &[GONE, 0, 1]), (true, vec![1.0, 9.0]));
+        // Records that do not fit the demands solve cold: one of another
+        // flow count, or one that maps more flows than there are demands.
+        assert!(!solve(&[10.0, 100.0], &[GONE, 0]).0);
+        assert!(!solve(&[10.0, 100.0], &[0, 0, 1]).0);
+        // Link 0 cut to 0.5: the guard's key (0.25, 0, 0) falls below
+        // Y's cap run, which must not replay. Cold, Y and Z share 0.5.
+        assert_eq!(
+            solve(&[0.5, 100.0], &[GONE, 0, 1]),
+            (false, vec![0.25, 0.25])
+        );
     }
 
     #[test]

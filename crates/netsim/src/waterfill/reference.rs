@@ -1,8 +1,10 @@
 //! The eager-heap progressive-filling kernel, kept as a test oracle.
 //!
 //! This is the kernel [`super::Waterfill`] replaced, preserved verbatim
-//! apart from its name: one heap entry per private cap resource, and a
-//! fresh heap entry for every resource on every frozen flow's route.
+//! apart from its name and the cap-run rule: one heap entry per private
+//! cap resource, and a fresh heap entry for every resource on every
+//! frozen flow's route. A private cap that pops freezes every unfixed
+//! flow with an equal cap in the same step, as the lazy kernel does.
 //! The unit tests assert that the lazily keyed kernel's rates and
 //! bindings are `to_bits`-equal to this one's.
 
@@ -149,10 +151,18 @@ impl EagerWaterfill {
             }
             let s = self.remaining[ri].max(0.0) / self.count[ri] as f64;
 
-            // Freeze every unfixed flow crossing this bottleneck at s.
+            // Freeze every unfixed flow crossing this bottleneck at s; a
+            // private cap stands for every unfixed flow with an equal cap.
             debug_assert!(!self.flows_on[ri].is_empty());
-            for fj in 0..self.flows_on[ri].len() {
-                let fi = self.flows_on[ri][fj] as usize;
+            let members: Vec<u32> = if ri < nr {
+                self.flows_on[ri].clone()
+            } else {
+                (0..flows.len() as u32)
+                    .filter(|&f| flows[f as usize].cap == s)
+                    .collect()
+            };
+            for fi in members {
+                let fi = fi as usize;
                 if fixed[fi] {
                     continue;
                 }

@@ -161,3 +161,36 @@ fn contended_fan_in_regression() {
     }
     assert_eq!(reference.end_time.to_bits(), rep.end_time.to_bits(), "end_time");
 }
+
+/// A dense departure-only run: every flow joins at t = 0 from its own
+/// node over a ring of links of rising capacity, and the sizes are
+/// staggered, so flows finish one at a time and every finish closes
+/// over the whole ring — a full re-level with only departures since the
+/// last one. Those re-levels must warm-start, and the report must still
+/// match `Full` bit for bit.
+#[test]
+fn dense_departures_warm_start_and_match_full() {
+    const N: u32 = 24;
+    let caps: Vec<f64> = (0..N).map(|r| 20.0 + 10.0 * r as f64).collect();
+    let sim = Simulator::new(N, caps, quick_config());
+    let mut g = TransferGraph::new();
+    for i in 0..N {
+        let route = (0..3).map(|h| ResourceId((i + h) % N)).collect();
+        g.add(TransferSpec::new(
+            i,
+            (i + 3) % N,
+            10_000 + 997 * i as u64,
+            route,
+        ));
+    }
+    let full = sim.simulate(&g, SimOptions::new().solver(SolverMode::Full));
+    let mut obs = SimObserver::new();
+    let inc = sim.simulate(&g, SimOptions::new().observer(&mut obs));
+    assert!(inc.all_delivered());
+    assert_reports_identical(&full, &inc, "dense departures").unwrap();
+    assert!(
+        obs.waterfill_warm_runs > 0,
+        "no warm start in {} full re-levels",
+        obs.waterfill_full_runs
+    );
+}
